@@ -267,8 +267,7 @@ def components(c: DividedCategory) -> list[list[int]]:
 
 def collapse(c: DividedCategory, path: Path) -> NormalForm:
     """Signed product of first entries along a composable path."""
-    g = c.g
-    out = NormalForm(0, ())
+    letters = []
     position: int | None = None
     for mid, sign in path:
         m = c.morphisms[mid]
@@ -276,13 +275,8 @@ def collapse(c: DividedCategory, path: Path) -> NormalForm:
         if position is not None and position != start:
             raise NonComposablePath(f"path breaks at morphism {mid}")
         position = end
-        first = m.entries[0]
-        if first == g.delta:
-            nf = NormalForm(1, ())
-        else:
-            nf = NormalForm(0, (first,) if first != g.identity else ())
-        out = g.multiply(out, nf if sign > 0 else g.invert(nf))
-    return out
+        letters.append((m.entries[0], sign))
+    return c.g.normal_form_simples(letters)
 
 
 @dataclass

@@ -10,8 +10,13 @@ AxiomViolation with rendered witnesses instead of producing a structure.
 
 Elements of the Garside group are NormalForm values: an integer power of
 Delta followed by left-weighted simple factors, none equal to the identity
-or to Delta.  Multiplication moves Delta across factors with the twist rule
-x * Delta = Delta * phi(x) and re-normalizes by local splitting.
+or to Delta.  All arithmetic rests on one step: right-multiplying such a
+factor list by a simple, with a single right-to-left sweep of the product
+splitting table that stops at the first pair already left-weighted.  An
+inverse letter a^-1 = da . Delta^-1 (da the complement of a) is taken as
+x . a^-1 = Delta^-1 . phi^-1(x . da); signed products keep their factors
+in a frame twisted by a pending power of phi and untwist once at the end.
+Inversion has the closed form of El-Rifai and Morton.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ class GarsideStructure:
         self.identity = 0
         self.delta = 0
         self.atoms: tuple[int, ...] = ()
+        self.generator_atoms: tuple[int, ...] = ()  # generator index -> atom
         self.left_div_mask: list[int] = []     # bit i set in entry j: i left-divides j
         self.right_div_mask: list[int] = []
         self.left_mult_mask: list[int] = []    # bit j set in entry i: i left-divides j
@@ -148,10 +154,6 @@ class GarsideStructure:
         perm = self.phi_power_perm(k)
         return [a for a in range(len(self.simples)) if perm[a] == a]
 
-    def phi_apply(self, x: NormalForm, k: int = 1) -> NormalForm:
-        perm = self.phi_power_perm(k)
-        return NormalForm(x.delta_power, tuple(perm[f] for f in x.factors))
-
     # -- left-weightedness -------------------------------------------------
 
     def left_weighted(self, a: int, b: int) -> bool:
@@ -164,45 +166,69 @@ class GarsideStructure:
 
     # -- normal forms ------------------------------------------------------
 
-    def _normalize_simple_seq(self, seq: list[int]) -> tuple[int, tuple[int, ...]]:
-        """Left-weight a sequence of simples; return (delta count, proper rest)."""
-        factors = [f for f in seq if f != self.identity]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(factors) - 1):
-                c, d = self.product_decomp_table[factors[i]][factors[i + 1]]
-                if (c, d) != (factors[i], factors[i + 1]):
-                    factors[i], factors[i + 1] = c, d
-                    changed = True
-            if changed:
-                factors = [f for f in factors if f != self.identity]
+    def _right_multiply(self, factors: list[int], s: int) -> int:
+        """Right-multiply left-weighted proper factors by the simple s in place.
+
+        One right-to-left sweep re-splits each pair (f_i, f_i+1) and stops at
+        the first pair already left-weighted; the result is left-weighted,
+        with any Deltas at the front and identities at the back.  Those
+        identities are dropped and the Deltas removed; returns their count.
+        """
+        decomp = self.product_decomp_table
+        i = len(factors)
+        factors.append(s)
+        while i:
+            i -= 1
+            c, d = decomp[factors[i]][factors[i + 1]]
+            if c == factors[i]:  # c = f_i . e with e = 1, so d = f_i+1 too
+                break
+            factors[i] = c
+            factors[i + 1] = d
+        while factors and factors[-1] == self.identity:
+            factors.pop()
         k = 0
         while k < len(factors) and factors[k] == self.delta:
             k += 1
-        return k, tuple(factors[k:])
+        if k:
+            del factors[:k]
+        return k
+
+    def _atom(self, gi: int) -> int:
+        if not 0 <= gi < len(self.generator_atoms):
+            raise GarsideError(f"generator index {gi} is out of range")
+        return self.generator_atoms[gi]
 
     def normal_form(self, word: Word) -> NormalForm:
         """Normal form of a positive word in the generators."""
-        seq = []
-        for gi in word:
-            a = self.simple_of_word((gi,))
-            if a is None:
-                raise GarsideError(f"generator index {gi} is not an atom")
-            seq.append(a)
-        k, factors = self._normalize_simple_seq(seq)
-        return NormalForm(k, factors)
+        return self.normal_form_simples([(self._atom(gi), 1) for gi in word])
 
     def normal_form_signed(self, letters: list[tuple[int, int]]) -> NormalForm:
         """Normal form of a group word given as (generator index, +-1) pairs."""
-        out = IDENTITY_NF
-        for gi, sign in letters:
-            a = self.simple_of_word((gi,))
-            if a is None:
-                raise GarsideError(f"generator index {gi} is not an atom")
-            nf = NormalForm(0, (a,))
-            out = self.multiply(out, nf if sign > 0 else self.invert(nf))
-        return out
+        return self.normal_form_simples(
+            [(self._atom(gi), sign) for gi, sign in letters]
+        )
+
+    def normal_form_simples(self, letters: list[tuple[int, int]]) -> NormalForm:
+        """Normal form of a product of simples given as (simple id, +-1) pairs.
+
+        The running value is Delta^p . phi^t(factors).  A positive letter s
+        appends phi^-t(s); a negative one appends phi^-t of its complement
+        and lowers p and t by one, since y . s^-1 = Delta^-1 . phi^-1(y . ds).
+        """
+        comp = self.left_complement
+        order = self.phi_order
+        factors: list[int] = []
+        p = t = 0
+        perm = self.phi_power_perm(0)  # phi^-t
+        for s, sign in letters:
+            if sign > 0:
+                p += self._right_multiply(factors, perm[s])
+            else:
+                p += self._right_multiply(factors, perm[comp[s]]) - 1
+                t = (t - 1) % order
+                perm = self.phi_power_perm(-t)
+        perm = self.phi_power_perm(t)
+        return NormalForm(p, tuple(perm[f] for f in factors))
 
     def nf_length(self, x: NormalForm) -> int:
         return x.delta_power * self.delta_length + sum(
@@ -212,19 +238,27 @@ class GarsideStructure:
     # -- group arithmetic ----------------------------------------------------
 
     def multiply(self, x: NormalForm, y: NormalForm) -> NormalForm:
+        """x . y = Delta^(p+q) . phi^q(x's factors) . y's factors, q = y's power."""
         perm = self.phi_power_perm(y.delta_power)
-        seq = [perm[f] for f in x.factors] + list(y.factors)
-        k, factors = self._normalize_simple_seq(seq)
-        return NormalForm(x.delta_power + y.delta_power + k, factors)
+        factors = [perm[f] for f in x.factors]
+        k = x.delta_power + y.delta_power
+        for f in y.factors:
+            k += self._right_multiply(factors, f)
+        return NormalForm(k, tuple(factors))
 
     def invert(self, x: NormalForm) -> NormalForm:
-        inv_phi = self.phi_power_perm(-1)
-        out = IDENTITY_NF
-        for f in reversed(x.factors):
-            out = self.multiply(
-                out, NormalForm(-1, (inv_phi[self.left_complement[f]],))
-            )
-        return self.multiply(out, NormalForm(-x.delta_power, ()))
+        """Closed form, left-weighted as it stands: for x = Delta^p f_1...f_k,
+        x^-1 = Delta^-(p+k) . phi^-(p+k)(df_k) ... phi^-(p+1)(df_1).
+        """
+        comp = self.left_complement
+        p, k = x.delta_power, len(x.factors)
+        return NormalForm(
+            -p - k,
+            tuple(
+                self.phi_power_perm(-p - i)[comp[x.factors[i - 1]]]
+                for i in range(k, 0, -1)
+            ),
+        )
 
     def power(self, x: NormalForm, k: int) -> NormalForm:
         if k < 0:
@@ -342,6 +376,7 @@ def build_garside(
                 "balanced", [f"generator {name} does not divide delta"]
             )
         atom_ids.append(a)
+    g.generator_atoms = tuple(atom_ids)
     g.atoms = tuple(sorted(set(atom_ids)))
 
     # Residuals, divisibility masks, lattice tables.
@@ -426,8 +461,8 @@ def build_garside(
 
     # Twist identity x * Delta = Delta * phi(x), at the normal-form level.
     for x in range(n):
-        if g._normalize_simple_seq([x, g.delta]) != g._normalize_simple_seq(
-            [g.delta, phi[x]]
+        if g.normal_form_simples([(x, 1), (g.delta, 1)]) != g.normal_form_simples(
+            [(g.delta, 1), (phi[x], 1)]
         ):
             raise AxiomViolation(
                 "phi",

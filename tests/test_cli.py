@@ -1,7 +1,13 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import garside
 from garside.cli import main
 
 
@@ -92,6 +98,23 @@ def test_nf_empty_word_is_identity(capsys):
     assert report["rendered"] == "1"
     assert report["delta_power"] == 0
     assert report["canonical_length"] == 0
+
+
+def test_nf_long_signed_word_finishes():
+    # A quadratic-or-worse normaliser takes minutes here; the limit is generous.
+    rng = random.Random(4000)
+    tokens = [rng.choice("stu") + rng.choice(("", "^-1")) for _ in range(4000)]
+    env = dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "garside.cli", "nf", "g12", *tokens],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    exponent_sum = sum(-1 if t.endswith("^-1") else 1 for t in tokens)
+    assert json.loads(done.stdout)["canonical_length"] == exponent_sum
 
 
 def test_bundled_names_accept_gar_suffix(capsys):
