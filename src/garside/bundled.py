@@ -3,8 +3,8 @@
 Sources given to the CLI (and to tests) resolve in two steps: an existing
 filesystem path wins, otherwise the source is treated as a bundled name
 (``g12``, ``g13``, ``typeb2``, ``typeb3``, with or without the ``.gar``
-suffix).  Built structures are cached per presentation text so repeated
-lookups do not re-run the oracle.
+suffix).  Built structures are cached per presentation text and budget, so
+repeated lookups do not rebuild the simples and their tables.
 """
 
 from __future__ import annotations

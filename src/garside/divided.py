@@ -77,7 +77,6 @@ def divided_set(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
     for a in fixed:
         by_len.setdefault(g.simple_length(a), []).append(a)
 
-    delta_rep = g.simples[g.delta]
     out: list[tuple[int, ...]] = []
     lengths = sorted(by_len)
     for combo in itertools.product(lengths, repeat=cycles):
@@ -96,7 +95,7 @@ def divided_set(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
                     entries[j] = g.phi_simple(entries[i], -((i + n) // m))
                     i = j
             word = sum((g.simples[a] for a in entries), ())
-            if g.oracle.rep(word) == delta_rep:
+            if g.simple_of_word(word) == g.delta:
                 out.append(tuple(entries))
     out.sort()
     return out

@@ -1,11 +1,13 @@
 """Garside structures: simples, divisibility lattices, phi, normal forms.
 
 A structure is built from a homogeneous presentation with a designated
-Garside word Delta.  The congruence oracle (up to length l(Delta)) supplies
-ground truth: simples are the congruence classes of prefixes of words in
-Delta's class, and every table below (division, residuals, gcd/lcm, the
+Garside word Delta.  Simples are the congruence classes of prefixes of
+words in Delta's class, so the build asks the lazy congruence oracle only
+about Delta's class and the classes of its prefixes and suffixes.  Every
+word of every simple is then looked up in one dictionary, and every table
+below (residuals from the two-simple products, division, gcd/lcm, the
 left-weighted product splitting, the automorphism phi) is computed from
-oracle lookups and verified exhaustively.  Axiom failures raise
+those lookups and verified exhaustively.  Axiom failures raise
 AxiomViolation with rendered witnesses instead of producing a structure.
 
 Elements of the Garside group are NormalForm values: an integer power of
@@ -62,7 +64,7 @@ class GarsideStructure:
         self.presentation = presentation
         self.oracle = oracle
         self.simples: tuple[Word, ...] = ()
-        self.simple_index: dict[Word, int] = {}
+        self.word_simple: dict[Word, int] = {}  # every word of a simple -> id
         self.identity = 0
         self.delta = 0
         self.atoms: tuple[int, ...] = ()
@@ -106,9 +108,7 @@ class GarsideStructure:
 
     def simple_of_word(self, word: Word) -> int | None:
         """Simple id of a positive word, or None when it is not a divisor."""
-        if len(word) > self.delta_length:
-            return None
-        return self.simple_index.get(self.oracle.rep(word))
+        return self.word_simple.get(word)
 
     def simple_product(self, a: int, b: int) -> int | None:
         """Product of two simples when it is again simple, else None."""
@@ -291,36 +291,35 @@ def _divisor_classes(g: GarsideStructure, prefixes: bool) -> set[Word]:
 
 
 def _build_residuals(g: GarsideStructure, left: bool) -> list[list[int | None]]:
+    """Residuals from the two-simple products: [a][b] = c for a * c = b
+    (left) or c * a = b (right).  A clash is reported at the least (a, b),
+    with its two least candidates.
+    """
     n = len(g.simples)
-    by_length: dict[int, list[int]] = {}
-    for i, w in enumerate(g.simples):
-        by_length.setdefault(len(w), []).append(i)
     table: list[list[int | None]] = [[None] * n for _ in range(n)]
+    clashes: dict[tuple[int, int], tuple[int, int]] = {}
     for a in range(n):
-        wa = g.simples[a]
-        for b in range(n):
-            wb = g.simples[b]
-            need = len(wb) - len(wa)
-            if need < 0:
+        for c in range(n):
+            b = g.simple_product(a, c) if left else g.simple_product(c, a)
+            if b is None:
                 continue
-            matches = [
-                c
-                for c in by_length.get(need, ())
-                if g.oracle.rep(wa + g.simples[c] if left else g.simples[c] + wa)
-                == wb
-            ]
-            if len(matches) > 1:
-                side = "left" if left else "right"
-                raise AxiomViolation(
-                    "lattice",
-                    [
-                        f"{side} residual of {g.render_simple(a)} in "
-                        f"{g.render_simple(b)} is not unique: "
-                        f"{g.render_simple(matches[0])} vs {g.render_simple(matches[1])}"
-                    ],
-                )
-            if matches:
-                table[a][b] = matches[0]
+            first = table[a][b]
+            if first is None:
+                table[a][b] = c
+            else:
+                clashes.setdefault((a, b), (first, c))
+    if clashes:
+        a, b = min(clashes)
+        first, second = clashes[a, b]
+        side = "left" if left else "right"
+        raise AxiomViolation(
+            "lattice",
+            [
+                f"{side} residual of {g.render_simple(a)} in "
+                f"{g.render_simple(b)} is not unique: "
+                f"{g.render_simple(first)} vs {g.render_simple(second)}"
+            ],
+        )
     return table
 
 
@@ -366,11 +365,13 @@ def build_garside(
         ]
         raise AxiomViolation("balanced", witnesses)
     g.simples = tuple(sorted(prefixes, key=lambda w: (len(w), w)))
-    g.simple_index = {w: i for i, w in enumerate(g.simples)}
-    g.delta = g.simple_index[oracle.rep(p.delta_word)]
+    g.word_simple = {
+        w: i for i, simple in enumerate(g.simples) for w in oracle.class_members(simple)
+    }
+    g.delta = g.word_simple[p.delta_word]
     atom_ids = []
     for gi, name in enumerate(p.generators):
-        a = g.simple_index.get(oracle.rep((gi,)))
+        a = g.simple_of_word((gi,))
         if a is None:
             raise AxiomViolation(
                 "balanced", [f"generator {name} does not divide delta"]

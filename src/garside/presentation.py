@@ -1,4 +1,4 @@
-"""Finitely presented homogeneous monoids and a brute-force congruence oracle.
+"""Finitely presented homogeneous monoids and a lazy congruence oracle.
 
 A word is a tuple of generator indices; the empty tuple is the monoid
 identity.  Presentations come from `.gar` documents:
@@ -12,19 +12,21 @@ identity.  Presentations come from `.gar` documents:
 Exactly one `gens:` and one `delta:` line; words are whitespace-separated
 generator names matching ``[A-Za-z][A-Za-z0-9_]*``; `rel:` order is kept.
 
-The oracle enumerates every word of each length up to a bound and merges
-words connected by a single-relation rewrite with a union-find.  Relations
-preserve length, so strata are independent and the congruence closure on a
-stratum is just graph connectivity over single rewrites.  The canonical
-representative of a class is its lexicographically least word (in declared
-generator order), which makes every downstream table deterministic.
+The oracle closes congruence classes on demand.  Relations preserve
+length, so a class lies inside one stratum and is the connected component
+of a word under single-relation rewrites applied in either direction; the
+first lookup of a word finds that component by a depth-first search and
+memoises it for every member.  The canonical representative of a class is
+its lexicographically least word (in declared generator order), which makes
+every downstream table deterministic.  The per-stratum budget is checked
+up front, against every stratum up to the table's length bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InhomogeneousPresentation, ParseError
 
@@ -120,73 +122,72 @@ def require_homogeneous(p: Presentation) -> None:
 
 @dataclass
 class CongruenceTable:
-    """Canonical representative for every word of length <= max_length.
+    """Canonical representatives for words of length <= max_length.
 
-    Two words are congruent iff they share a representative.  Representatives
-    are lexicographically least in their class, so recomputation is stable.
+    Two words are congruent iff they share a representative.  Classes are
+    closed on first use; reps maps every word closed so far to the
+    lexicographically least member of its class.
     """
 
     presentation: Presentation
     max_length: int
-    reps: dict[Word, Word]
+    reps: dict[Word, Word] = field(default_factory=dict, init=False)
+    _members: dict[Word, tuple[Word, ...]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def rep(self, word: Word) -> Word:
         if len(word) > self.max_length:
             raise BudgetExceeded(len(word), -1, -1)
-        return self.reps[word]
+        found = self.reps.get(word)
+        return self._close(word) if found is None else found
+
+    def _close(self, word: Word) -> Word:
+        rules = [(lhs, rhs) for lhs, rhs in self.presentation.relations]
+        rules += [(rhs, lhs) for lhs, rhs in self.presentation.relations]
+        seen = {word}
+        stack = [word]
+        while stack:
+            w = stack.pop()
+            for lhs, rhs in rules:
+                span = len(lhs)
+                for at in range(len(w) - span + 1):
+                    if w[at : at + span] == lhs:
+                        other = w[:at] + rhs + w[at + span :]
+                        if other not in seen:
+                            seen.add(other)
+                            stack.append(other)
+        members = tuple(sorted(seen))
+        least = members[0]
+        for w in members:
+            self.reps[w] = least
+        self._members[least] = members
+        return least
 
     def congruent(self, u: Word, v: Word) -> bool:
         return self.rep(u) == self.rep(v)
 
     def class_members(self, word: Word) -> list[Word]:
-        target = self.rep(word)
-        return sorted(w for w, r in self.reps.items() if r == target)
+        return list(self._members[self.rep(word)])
 
     def classes(self, length: int) -> list[list[Word]]:
         """All classes of the given length, sorted by representative."""
-        by_rep: dict[Word, list[Word]] = {}
-        for w, r in self.reps.items():
-            if len(w) == length:
-                by_rep.setdefault(r, []).append(w)
-        return [sorted(by_rep[r]) for r in sorted(by_rep)]
+        n = len(self.presentation.generators)
+        reps = {self.rep(w) for w in itertools.product(range(n), repeat=length)}
+        return [list(self._members[r]) for r in sorted(reps)]
 
 
 def congruence_classes(
     p: Presentation, max_length: int, budget: int = DEFAULT_BUDGET
 ) -> CongruenceTable:
-    """Close every stratum of words up to max_length under the relations."""
+    """Congruence oracle for words up to max_length, closed lazily.
+
+    Raises BudgetExceeded for the first stratum with more than budget words.
+    """
     require_homogeneous(p)
     n = len(p.generators)
-    rules = [(lhs, rhs) for lhs, rhs in p.relations]
-    rules += [(rhs, lhs) for lhs, rhs in p.relations]
-
-    reps: dict[Word, Word] = {(): ()}
     for length in range(1, max_length + 1):
         count = n**length
         if count > budget:
             raise BudgetExceeded(length, count, budget)
-        words = list(itertools.product(range(n), repeat=length))
-        index = {w: i for i, w in enumerate(words)}
-        parent = list(range(count))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for w in words:
-            for lhs, rhs in rules:
-                span = len(lhs)
-                for at in range(length - span + 1):
-                    if w[at : at + span] == lhs:
-                        other = index[w[:at] + rhs + w[at + span :]]
-                        ra, rb = find(index[w]), find(other)
-                        if ra != rb:
-                            # Root at the smaller index: words are enumerated
-                            # in lexicographic order, so the root stays the
-                            # lexicographically least member.
-                            parent[max(ra, rb)] = min(ra, rb)
-        for w in words:
-            reps[w] = words[find(index[w])]
-    return CongruenceTable(p, max_length, reps)
+    return CongruenceTable(p, max_length)

@@ -225,3 +225,40 @@ def test_budget_flag_overrides_env(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify", "g12", "--budget", str(3**10))
     assert rc == 0
     assert json.loads(out)["simple_count"] == 11
+
+
+def test_budget_error_names_the_stratum(capsys):
+    rc, out, err = run(capsys, "verify", "g13", "--budget", "19682")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: stratum of length 9 has 19683 words, over the budget of 19682\n"
+
+
+def test_typeb_rank_four_is_over_the_default_budget(capsys):
+    rc, out, err = run(capsys, "typeb", "-n", "4", "--check-epsilon")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: stratum of length 8 has 65536 words, over the budget of 59049\n"
+
+
+@pytest.mark.parametrize(
+    "text, witnesses",
+    [
+        ("gens: a b c\nrel: a a = a b\ndelta: a a\n", ["b (right divisor only)"]),
+        ("gens: s t\ndelta: s t\n", ["s (left divisor only)", "t (right divisor only)"]),
+    ],
+)
+def test_verify_unbalanced_report(capsys, tmp_path, text, witnesses):
+    path = tmp_path / "unbalanced.gar"
+    path.write_text(text)
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 1
+    expected = {
+        "schema": 1,
+        "source": str(path),
+        "axioms": {"balanced": False, "lattice": None, "phi": None},
+        "simple_count": None,
+        "phi_order": None,
+        "witnesses": witnesses,
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"

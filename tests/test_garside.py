@@ -185,3 +185,22 @@ def test_multiply_is_associative(g12, u, v, w):
 
     a, b, c = nf(u), nf(v), nf(w)
     assert g12.multiply(g12.multiply(a, b), c) == g12.multiply(a, g12.multiply(b, c))
+
+
+@pytest.mark.parametrize(
+    "text, witness",
+    [
+        (
+            "gens: a b c\nrel: a b = a c\nrel: b a = c c\nrel: b a = a b\ndelta: c a b\n",
+            "left residual of a in a b is not unique: b vs c",
+        ),
+        (
+            "gens: a b c\nrel: c c = c b\nrel: a b = c b\nrel: c c = b a\ndelta: c c c c\n",
+            "left residual of a in a a b is not unique: a b vs b b",
+        ),
+    ],
+)
+def test_verify_residual_clash_witness(text, witness):
+    report = verify_presentation(parse_presentation(text))
+    assert report["axioms"] == {"balanced": True, "lattice": False, "phi": None}
+    assert report["witnesses"] == [witness]

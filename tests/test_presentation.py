@@ -77,6 +77,11 @@ def test_congruence_reps_are_lex_least(g12):
     table = congruence_classes(p, 4)
     tust = p.word_from_tokens("t u s t".split())
     assert p.render(table.rep(tust)) == "s t u s"
+    # The table closes classes on demand; materialise every stratum so the
+    # loop below sees every word.
+    for k in range(5):
+        table.classes(k)
+    assert len(table.reps) == sum(3**k for k in range(5))
     for w, r in table.reps.items():
         assert r <= w
 
