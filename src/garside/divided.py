@@ -2,10 +2,17 @@
 
 D_m^n is the set of m-tuples of simples with ordered product Delta, fixed by
 the n-th power of the twisted shift sigma(a_1,...,a_m) = (a_2,...,a_m,
-phi(a_1)).  Rather than filtering all decompositions, the enumeration walks
-the index-shift cycles: i -> (i+n) mod m has gcd(m,n) orbits, a tuple fixed
-by sigma^n is determined by one free entry per orbit (fixed by phi^(n/gcd)),
-and entry lengths force the free entries to split length(Delta)*gcd/m.
+phi(a_1)).  The index shift i -> (i+n) mod m has c = gcd(m,n) orbits, the
+classes of i mod c, so a tuple fixed by sigma^n is determined by its first c
+entries: entry i is a fixed phi-power of entry i mod c, and the free entries
+are fixed by phi^(n/c) and split length(Delta)*c/m between them.  One
+depth-first walk enumerates D_m^n: it picks each free entry, in ascending
+id, among the phi^(n/c)-fixed left divisors of the part of Delta still left
+(the running residual) whose length fits the free length still left, then
+checks the determined entries against the residual one at a time and keeps
+the tuple when the residual reaches 1.  Its work follows the tuples kept and
+the prefixes cut, not the number of length combinations.  With n = 0 every
+entry is free and the walk lists all decompositions of Delta.
 
 C_p^q has objects D_p^q, generating morphisms D_2p^2q, and relations induced
 by D_3p^3q (each 3p-tuple yields a composable triple f;g = h).  Tuples of the
@@ -23,11 +30,10 @@ plus a bounded Tietze simplifier and the collapse map to the Garside group
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import NonComposablePath
+from .errors import GarsideError, NonComposablePath
 from .monoid import GarsideStructure, NormalForm
 
 Path = list[tuple[int, int]]  # (morphism id, +1 forward / -1 backward)
@@ -37,24 +43,7 @@ def decompositions(g: GarsideStructure, m: int) -> list[tuple[int, ...]]:
     """All m-tuples of simples with ordered product Delta, in lex id order."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def rec(x: int, remaining: int) -> None:
-        if remaining == 1:
-            out.append(tuple(prefix) + (x,))
-            return
-        mask = g.left_div_mask[x]
-        while mask:
-            low = mask & -mask
-            a = low.bit_length() - 1
-            mask ^= low
-            prefix.append(a)
-            rec(g.residual_left[a][x], remaining - 1)
-            prefix.pop()
-
-    rec(g.delta, m)
-    return out
+    return _walk(g, m, 0)
 
 
 def twisted_shift(g: GarsideStructure, t: tuple[int, ...]) -> tuple[int, ...]:
@@ -62,42 +51,113 @@ def twisted_shift(g: GarsideStructure, t: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def divided_set(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
-    """D_m^n: decompositions of Delta fixed by the n-th twisted shift."""
+    """D_m^n: decompositions of Delta fixed by the n-th twisted shift, in lex order.
+
+    The walk chooses the first gcd(m, n) entries among phi^(n/gcd)-fixed left
+    divisors of the running residual of Delta, then checks the entries they
+    determine.  D_m^0 is decompositions(g, m).  A set whose gcd(m, n) nested
+    choices pass the recursion limit raises GarsideError.
+    """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
     if n == 0:
         return decompositions(g, m)
+    return _walk(g, m, n)
+
+
+def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
+    """Depth-first walk of D_m^n; ascending ids at the free entries give lex order."""
     cycles = math.gcd(m, n)
     free_length, rem = divmod(g.delta_length * cycles, m)
     if rem:
         return []
-    twist = n // cycles
-    fixed = g.phi_fixed_simples(twist)
-    by_len: dict[int, list[int]] = {}
-    for a in fixed:
-        by_len.setdefault(g.simple_length(a), []).append(a)
-
+    # Entry i is phi^exponent[i] of entry i mod cycles: sigma^n-fixedness
+    # reads t_j = phi^(-((i+n)//m))(t_i) for j = (i+n) mod m.
+    exponent = [0] * m
+    for base in range(cycles):
+        i = base
+        while (j := (i + n) % m) != base:
+            exponent[j] = exponent[i] - (i + n) // m
+            i = j
+    determined = [
+        (g.phi_power_perm(exponent[i]), i % cycles) for i in range(cycles, m)
+    ]
+    fixed = sum(1 << a for a in g.phi_fixed_simples(n // cycles))
+    exactly = [0] * (g.delta_length + 1)
+    for a, word in enumerate(g.simples):
+        exactly[len(word)] |= 1 << a
+    at_most = exactly[:]
+    for k in range(1, len(at_most)):
+        at_most[k] |= at_most[k - 1]
+    # The free entries come first, so while they are chosen the residual x
+    # still holds the determined entries' share of Delta, and the free length
+    # left is len(x) - reserved.  A free entry is a phi^(n/cycles)-fixed left
+    # divisor of x that fits in it; the last one fills it exactly.
+    reserved = g.delta_length - free_length
+    room = [len(word) - reserved for word in g.simples]
+    fits = [
+        d & fixed & at_most[k] if k >= 0 else 0 for d, k in zip(g.left_div_mask, room)
+    ]
+    fills = [
+        d & fixed & exactly[k] if k >= 0 else 0 for d, k in zip(g.left_div_mask, room)
+    ]
+    residual = g.residual_left
+    last = cycles - 1
     out: list[tuple[int, ...]] = []
-    lengths = sorted(by_len)
-    for combo in itertools.product(lengths, repeat=cycles):
-        if sum(combo) != free_length:
-            continue
-        for reps in itertools.product(*(by_len[le] for le in combo)):
-            entries = [0] * m
-            for base in range(cycles):
-                entries[base] = reps[base]
-                i = base
-                while True:
-                    j = (i + n) % m
-                    if j == base:
-                        break
-                    # t_i = phi^{e_i}(t_j) with e_i = (i+n) // m
-                    entries[j] = g.phi_simple(entries[i], -((i + n) // m))
-                    i = j
-            word = sum((g.simples[a] for a in entries), ())
-            if g.simple_of_word(word) == g.delta:
-                out.append(tuple(entries))
-    out.sort()
+    entries: list[int] = []
+
+    def close(x: int) -> None:
+        # The last free entry fills what is left of the free length; the
+        # entries after it have no choice left, only a check.
+        mask = fills[x]
+        while mask:
+            low = mask & -mask
+            a = low.bit_length() - 1
+            mask ^= low
+            entries.append(a)
+            tail: list[int] = []
+            y = residual[a][x]
+            for perm, base in determined:
+                b = perm[entries[base]]
+                if not g.left_div_mask[y] >> b & 1:
+                    break
+                tail.append(b)
+                y = residual[b][y]
+            else:
+                if y == g.identity:
+                    out.append(tuple(entries + tail))
+            entries.pop()
+
+    def step(i: int, x: int) -> None:
+        if i == last:
+            if determined:
+                close(x)
+            else:
+                # Nothing follows, so the last entry is the residual itself;
+                # phi^(n/cycles) fixes it, as it fixes Delta and the others.
+                out.append(tuple(entries) + (x,))
+            return
+        mask = fits[x]
+        while mask:
+            low = mask & -mask
+            a = low.bit_length() - 1
+            mask ^= low
+            entries.append(a)
+            step(i + 1, residual[a][x])
+            entries.pop()
+
+    try:
+        step(0, g.delta)
+    except RecursionError:
+        raise GarsideError(
+            f"D_{m}^{n} is out of reach: its {cycles} free entries nest past "
+            "the recursion limit"
+        ) from None
+    finally:
+        # step refers to itself through its closure; clearing the name breaks
+        # that cycle, so out is freed with its last caller, not by the
+        # cycle collector.
+        del step
     return out
 
 

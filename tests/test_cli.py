@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -115,6 +116,48 @@ def test_nf_long_signed_word_finishes():
     assert done.returncode == 0, done.stderr
     exponent_sum = sum(-1 if t.endswith("^-1") else 1 for t in tokens)
     assert json.loads(done.stdout)["canonical_length"] == exponent_sum
+
+
+@pytest.mark.parametrize(
+    "p, q, name",
+    [
+        # 1200 nested choices in decompositions: a raw RecursionError before.
+        ("1200", "0", "D_1200^0"),
+        # D_400^400 and D_800^800 fit, D_1200^1200 does not; the old filter
+        # tried 2^400 length combinations and never got there.
+        ("400", "400", "D_1200^1200"),
+    ],
+)
+def test_divided_past_recursion_limit_is_a_clean_error(p, q, name):
+    env = dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "garside.cli", "divided", "g12", "-p", p, "-q", q],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: {name} ")
+    assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "source, p, q, digest",
+    [
+        ("g12", "2", "3", "0bd8e191d3e07ab5b4822b6898f2999dde95a2edfe57dfbc25f835d12d3aa3a2"),
+        ("g13", "3", "4", "e12b398a6ade411b8697e63697ff2b78e04e411b185676546cc6f7e14c68a9aa"),
+        ("g12", "7", "7", "b50f57ab92645ad579bb4aaf8b5728b8c6fd638535c3e9f1f051c98bb02d001d"),
+        ("typeb3", "2", "2", "1df1329536a103f86a6de823e1ed64cefc1ea545b1025f332f46e55c352c5a48"),
+    ],
+)
+def test_divided_json_is_byte_identical(capsys, source, p, q, digest):
+    # Digests of the JSON recorded with the length-combination filter.
+    rc, out, _ = run(capsys, "divided", source, "-p", p, "-q", q)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bundled_names_accept_gar_suffix(capsys):

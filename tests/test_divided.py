@@ -1,3 +1,9 @@
+import gc
+import hashlib
+import math
+import sys
+
+import divided_reference
 import pytest
 
 from garside.divided import (
@@ -192,3 +198,80 @@ def test_loop_paths_close_at_base(g12):
         tgt = cat.morphisms[last].target if sign > 0 else cat.morphisms[last].source
         assert src == 0 and tgt == 0
         collapse(cat, path)
+
+
+STRUCTURES = ("g12", "g13", "b2", "b3")
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_divided_set_matches_reference_filter(request, name):
+    # The reference filter's cost grows like (entry lengths)^gcd(m, n);
+    # gcd <= 3 keeps all four structures well under a second.
+    g = request.getfixturevalue(name)
+    kept = 0
+    for m in range(1, 13):
+        for n in range(1, 25):
+            if math.gcd(m, n) <= 3:
+                expected = divided_reference.divided_set(g, m, n)
+                assert divided_set(g, m, n) == expected, (m, n)
+                kept += bool(expected)
+    assert kept > 0
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_divided_set_matches_sigma_filter(request, name):
+    g = request.getfixturevalue(name)
+    for m in range(1, 5):
+        for n in range(0, 13):
+            assert divided_set(g, m, n) == divided_reference.sigma_fixed(g, m, n), (m, n)
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_decompositions_match_reference(request, name):
+    g = request.getfixturevalue(name)
+    for m in range(1, 6):
+        assert decompositions(g, m) == divided_reference.decompositions(g, m), m
+
+
+def test_divided_g12_long_closed_form(g12):
+    # 1 and Delta are the only phi-fixed simples of g12, so each tuple of
+    # D_600^600 is Delta at one position and 1 elsewhere; the old filter
+    # tried 2^600 length combinations.
+    assert g12.phi_fixed_simples(1) == sorted([g12.identity, g12.delta])
+    expected = sorted(
+        tuple(g12.delta if i == k else g12.identity for i in range(600))
+        for k in range(600)
+    )
+    assert divided_set(g12, 600, 600) == expected
+
+
+def test_divided_g13_6_6_literal(g13):
+    # Recorded with the length-combination filter, which took about 20 s.
+    d = divided_set(g13, 6, 6)
+    assert len(d) == 46662
+    assert (
+        hashlib.sha256(repr(d).encode()).hexdigest()
+        == "a774fd19b3bd3f3fb3985092424b193b88b7835521c384ace29227752614a507"
+    )
+
+
+def test_category_typeb2_4_4(b2):
+    # Past the reach of the length-combination filter; the figures are
+    # confirmed on the sets the category is built from by the shift filter.
+    for k in (1, 2, 3):
+        assert divided_set(b2, 4 * k, 4 * k) == divided_reference.sigma_fixed(b2, 4 * k, 4 * k)
+    cat = build_category(b2, 4, 4)
+    assert len(cat.objects) == 66
+    assert len(cat.morphisms) == 586
+    assert len(cat.triples) == 1480
+
+
+def test_divided_set_result_is_freed_with_its_caller(g13):
+    # A walk whose closure keeps referring to itself would hold each result
+    # until the cycle collector runs, which raised a worker's peak memory.
+    gc.disable()
+    try:
+        d = divided_set(g13, 3, 3)
+        assert sys.getrefcount(d) == 2
+    finally:
+        gc.enable()
