@@ -189,9 +189,6 @@ class DividedCategory:
     def object_label(self, oid: int) -> str:
         return "(" + ", ".join(self.g.render_simple(a) for a in self.objects[oid]) + ")"
 
-    def object_param(self, oid: int) -> str:
-        return self.g.render_simple(self.objects[oid][0])
-
     def morphism_label(self, mid: int) -> str:
         e = self.morphisms[mid].entries
         return f"({self.g.render_simple(e[0])}, {self.g.render_simple(e[1])})"

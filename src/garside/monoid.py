@@ -70,18 +70,11 @@ class GarsideStructure:
         self.atoms: tuple[int, ...] = ()
         self.generator_atoms: tuple[int, ...] = ()  # generator index -> atom
         self.left_div_mask: list[int] = []     # bit i set in entry j: i left-divides j
-        self.right_div_mask: list[int] = []
         self.left_mult_mask: list[int] = []    # bit j set in entry i: i left-divides j
-        self.right_mult_mask: list[int] = []
         self.residual_left: list[list[int | None]] = []   # a * c = b  =>  [a][b] = c
-        self.residual_right: list[list[int | None]] = []  # c * a = b  =>  [a][b] = c
         self.gcd_left_table: list[list[int]] = []
         self.lcm_left_table: list[list[int]] = []
-        self.gcd_right_table: list[list[int]] = []
-        self.lcm_right_table: list[list[int]] = []
         self.left_complement: tuple[int, ...] = ()   # a * comp(a) = Delta
-        self.right_complement: tuple[int, ...] = ()  # comp(a) * a = Delta
-        self.phi_perm: tuple[int, ...] = ()
         self._phi_powers: list[tuple[int, ...]] = []
         self.product_decomp_table: list[list[tuple[int, int]]] = []
         self._atom_nf: dict[int, NormalForm] = {}
@@ -120,20 +113,11 @@ class GarsideStructure:
     def left_divides(self, a: int, b: int) -> bool:
         return bool(self.left_div_mask[b] >> a & 1)
 
-    def right_divides(self, a: int, b: int) -> bool:
-        return bool(self.right_div_mask[b] >> a & 1)
-
     def gcd_left(self, a: int, b: int) -> int:
         return self.gcd_left_table[a][b]
 
     def lcm_left(self, a: int, b: int) -> int:
         return self.lcm_left_table[a][b]
-
-    def gcd_right(self, a: int, b: int) -> int:
-        return self.gcd_right_table[a][b]
-
-    def lcm_right(self, a: int, b: int) -> int:
-        return self.lcm_right_table[a][b]
 
     def product_decomp(self, a: int, b: int) -> tuple[int, int]:
         return self.product_decomp_table[a][b]
@@ -380,33 +364,33 @@ def build_garside(
     g.generator_atoms = tuple(atom_ids)
     g.atoms = tuple(sorted(set(atom_ids)))
 
-    # Residuals, divisibility masks, lattice tables.
+    # Residuals, divisibility masks, lattice tables.  The right-hand ones are
+    # checked for the lattice axiom and then dropped; nothing reads them.
     g.residual_left = _build_residuals(g, left=True)
-    g.residual_right = _build_residuals(g, left=False)
+    residual_right = _build_residuals(g, left=False)
     n = len(g.simples)
     g.left_div_mask = [0] * n
-    g.right_div_mask = [0] * n
     g.left_mult_mask = [0] * n
-    g.right_mult_mask = [0] * n
+    right_div_mask = [0] * n
+    right_mult_mask = [0] * n
     for a in range(n):
         for b in range(n):
             if g.residual_left[a][b] is not None:
                 g.left_div_mask[b] |= 1 << a
                 g.left_mult_mask[a] |= 1 << b
-            if g.residual_right[a][b] is not None:
-                g.right_div_mask[b] |= 1 << a
-                g.right_mult_mask[a] |= 1 << b
+            if residual_right[a][b] is not None:
+                right_div_mask[b] |= 1 << a
+                right_mult_mask[a] |= 1 << b
     g.gcd_left_table = _bound_table(g, g.left_div_mask, "left", lower=True)
     g.lcm_left_table = _bound_table(g, g.left_mult_mask, "left", lower=False)
-    g.gcd_right_table = _bound_table(g, g.right_div_mask, "right", lower=True)
-    g.lcm_right_table = _bound_table(g, g.right_mult_mask, "right", lower=False)
+    _bound_table(g, right_div_mask, "right", lower=True)
+    _bound_table(g, right_mult_mask, "right", lower=False)
 
     # Complements and the Garside automorphism phi = complement squared.
     left_comp = [g.residual_left[a][g.delta] for a in range(n)]
-    right_comp = [g.residual_right[a][g.delta] for a in range(n)]
-    assert None not in left_comp and None not in right_comp
+    assert None not in left_comp
+    assert all(residual_right[a][g.delta] is not None for a in range(n))
     g.left_complement = tuple(left_comp)
-    g.right_complement = tuple(right_comp)
     if len(set(g.left_complement)) != n:
         seen: dict[int, int] = {}
         for a, c in enumerate(g.left_complement):
@@ -433,7 +417,6 @@ def build_garside(
                 f"{[g.render_simple(phi[a]) for a in g.atoms]}"
             ],
         )
-    g.phi_perm = phi
     powers = [tuple(range(n))]
     current = phi
     while current != powers[0]:

@@ -36,6 +36,31 @@ def test_scenario_output_is_byte_stable(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("verify-g12", "ac2354ded9ccdda60d1eed52d2b879b28a25984073f8ffb1029bd15c72640633"),
+        ("verify-g13", "eb72c5cefcc35e144d372e6cacd3a4dab8f841ffb043a2116b693623194bf93d"),
+        ("verify-typeb", "3a1f76e2eb13b3e34f328a3ca5efdbadb847beb7d841df772e3333b0c0f3ebc1"),
+        ("verify-regular", "37da8bdacb787fc11f8e3b5b76c6ac40007e993d50d4fa0c02b4e13d58a7b46e"),
+        ("verify-pairs", "78a3dc8a6547fc2758bf3a9a7ff0b8edd0b5edcd5670c69923db1ef927c202b8"),
+    ],
+)
+def test_scenario_report_is_byte_identical(capsys, name, digest):
+    # Digests of the reports written by the per-suite check factories.
+    rc, out, err = run(capsys, "scenario", name)
+    assert rc == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_scenario_budget_overrun_emits_no_report(capsys):
+    rc, out, err = run(capsys, "scenario", "verify-g13", "--budget", "19682")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: stratum of length 9 has 19683 words, over the budget of 19682\n"
+
+
 def test_scenario_timings_flag(capsys):
     _, out, _ = run(capsys, "scenario", "verify-pairs", "--timings")
     report = json.loads(out)
@@ -305,3 +330,39 @@ def test_verify_unbalanced_report(capsys, tmp_path, text, witnesses):
         "witnesses": witnesses,
     }
     assert out == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, files, code, message",
+    [
+        (
+            ["nf", "{unbalanced}", "a"],
+            {"unbalanced": "gens: a b c\nrel: a a = a b\ndelta: a a\n"},
+            1,
+            "balanced axiom failed: b (right divisor only)",
+        ),
+        (["divided", "g12", "-p", "0", "-q", "1"], {}, 2, "need p >= 1 and q >= 0"),
+        (["verify", "g12", "--budget", "0"], {}, 2, "budget must be positive, got 0"),
+        (
+            ["verify", "{inhomogeneous}"],
+            {"inhomogeneous": "gens: a b\nrel: a b = a\ndelta: a b\n"},
+            2,
+            "relations at indices [0] are not length-preserving",
+        ),
+        (
+            ["roots", "g12", "--zp", "0", "-d", "2"],
+            {},
+            1,
+            "exponents must be positive, got (2, 0)",
+        ),
+    ],
+)
+def test_error_exit_codes(capsys, tmp_path, argv, files, code, message):
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.gar"
+        paths[name].write_text(text)
+    rc, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert rc == code
+    assert out == ""
+    assert err == f"error: {message}\n"
