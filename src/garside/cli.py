@@ -180,6 +180,8 @@ def _centralizer_payload(
 
 def _cmd_roots(args: argparse.Namespace, budget: int) -> int:
     g = bundled.get_structure(args.source, budget)
+    if args.d < 1 or args.zp < 1:
+        raise GarsideError(f"exponents must be positive, got ({args.d}, {args.zp})")
     report = periodic.roots_report(g, args.zp, args.d, with_centralizer=args.centralizer)
     _emit(
         {

@@ -24,12 +24,13 @@ composites are usually named rather than listed as generators.
 
 Vertex groups come from the standard groupoid contraction: spanning tree,
 one loop generator per non-tree edge, one relator per presented relation,
-plus a bounded Tietze simplifier and the collapse map to the Garside group
+plus an indexed Tietze pass and the collapse map to the Garside group
 (a path maps to the signed product of first entries).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -356,6 +357,13 @@ def _free_reduce(word: list[int]) -> list[int]:
     return out
 
 
+def _letter_counts(word: list[int]) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for y in word:
+        counts[abs(y)] = counts.get(abs(y), 0) + 1
+    return counts
+
+
 def vertex_group(c: DividedCategory, base: int) -> VertexGroupPresentation:
     """Contract the component of base to a one-object group presentation."""
     gens = c.generator_ids()
@@ -420,29 +428,40 @@ def vertex_group(c: DividedCategory, base: int) -> VertexGroupPresentation:
 class SimplifiedPresentation:
     generators: list[int]  # surviving loop indices (into loop_edges)
     relators: list[list[int]]
-    inconclusive: bool
+    inconclusive: bool  # always False, as the pass always ends; reports keep the key
 
 
 def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:
-    """Bounded Tietze reduction: free-reduce and eliminate isolated generators."""
+    """Indexed Tietze pass: free-reduce, then eliminate generators occurring once.
+
+    Each step takes the first relator, in list order, that has a generator x
+    occurring once, drops it, and substitutes x's image into the relators that
+    hold x, free-reducing them and dropping any that become empty; x is the
+    largest such generator of that relator.  Relators keep their list index,
+    a min-heap holds the indices of relators that may have such a generator,
+    and each generator lists the relators it was put into, so a step touches
+    only the relators that hold x.  The image of x does not contain x, so
+    every step removes a generator for good and the pass always ends.
+    """
+    relators: list[list[int] | None] = [
+        r for r in (_free_reduce(list(r)) for r in v.relators) if r
+    ]
+    counts: list[dict[int, int] | None] = [_letter_counts(r) for r in relators]
+    # generator -> every relator that has held it; stale entries are skipped
+    holders: dict[int, list[int]] = {}
+    for i, c in enumerate(counts):
+        for y in c:
+            holders.setdefault(y, []).append(i)
+    heap = [i for i, c in enumerate(counts) if 1 in c.values()]
     gens = set(range(1, len(v.loop_edges) + 1))
-    relators = [r for r in (_free_reduce(list(r)) for r in v.relators) if r]
-    bound = 10 * (len(gens) + len(relators))
-    steps = 0
-    while steps < bound:
-        steps += 1
-        target = None
-        for ri, rel in enumerate(relators):
-            once = [x for x in gens if sum(1 for y in rel if abs(y) == x) == 1]
-            if once:
-                target = (ri, max(once))
-                break
-        if target is None:
-            return SimplifiedPresentation(
-                [x - 1 for x in sorted(gens)], relators, False
-            )
-        ri, x = target
-        rel = relators.pop(ri)
+    while heap:
+        ri = heapq.heappop(heap)
+        c = counts[ri]
+        if c is None or 1 not in c.values():
+            continue
+        x = max(y for y, k in c.items() if k == 1)
+        rel = relators[ri]
+        relators[ri] = counts[ri] = None
         pos = next(i for i, y in enumerate(rel) if abs(y) == x)
         before, after = rel[:pos], rel[pos + 1 :]
         # u x v = 1  =>  x = u^-1 v^-1 ; u x^-1 v = 1  =>  x = v u
@@ -450,19 +469,31 @@ def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:
             image = [-y for y in reversed(before)] + [-y for y in reversed(after)]
         else:
             image = after + before
-        replaced = []
-        for other in relators:
+        inverse = [-y for y in reversed(image)]
+        for j in holders.pop(x):
+            old = counts[j]
+            if old is None or x not in old:
+                continue  # dropped, or x already substituted
             word: list[int] = []
-            for y in other:
-                if abs(y) != x:
-                    word.append(y)
-                elif y > 0:
+            for y in relators[j]:
+                if y == x:
                     word.extend(image)
+                elif y == -x:
+                    word.extend(inverse)
                 else:
-                    word.extend(-z for z in reversed(image))
+                    word.append(y)
             word = _free_reduce(word)
-            if word:
-                replaced.append(word)
-        relators = replaced
+            if not word:
+                relators[j] = counts[j] = None
+                continue
+            relators[j] = word
+            counts[j] = new = _letter_counts(word)
+            for y in new:
+                if y not in old:
+                    holders[y].append(j)
+            if 1 in new.values():
+                heapq.heappush(heap, j)
         gens.discard(x)
-    return SimplifiedPresentation([x - 1 for x in sorted(gens)], relators, True)
+    return SimplifiedPresentation(
+        [x - 1 for x in sorted(gens)], [r for r in relators if r is not None], False
+    )

@@ -70,10 +70,7 @@ class GarsideStructure:
         self.atoms: tuple[int, ...] = ()
         self.generator_atoms: tuple[int, ...] = ()  # generator index -> atom
         self.left_div_mask: list[int] = []     # bit i set in entry j: i left-divides j
-        self.left_mult_mask: list[int] = []    # bit j set in entry i: i left-divides j
         self.residual_left: list[list[int | None]] = []   # a * c = b  =>  [a][b] = c
-        self.gcd_left_table: list[list[int]] = []
-        self.lcm_left_table: list[list[int]] = []
         self.left_complement: tuple[int, ...] = ()   # a * comp(a) = Delta
         self._phi_powers: list[tuple[int, ...]] = []
         self.product_decomp_table: list[list[tuple[int, int]]] = []
@@ -112,12 +109,6 @@ class GarsideStructure:
 
     def left_divides(self, a: int, b: int) -> bool:
         return bool(self.left_div_mask[b] >> a & 1)
-
-    def gcd_left(self, a: int, b: int) -> int:
-        return self.gcd_left_table[a][b]
-
-    def lcm_left(self, a: int, b: int) -> int:
-        return self.lcm_left_table[a][b]
 
     def product_decomp(self, a: int, b: int) -> tuple[int, int]:
         return self.product_decomp_table[a][b]
@@ -364,25 +355,26 @@ def build_garside(
     g.generator_atoms = tuple(atom_ids)
     g.atoms = tuple(sorted(set(atom_ids)))
 
-    # Residuals, divisibility masks, lattice tables.  The right-hand ones are
-    # checked for the lattice axiom and then dropped; nothing reads them.
+    # Residuals, divisibility masks, lattice tables.  All four lattice tables
+    # are checked for the lattice axiom; only the left gcd table is kept, as a
+    # local, for the product splitting below.
     g.residual_left = _build_residuals(g, left=True)
     residual_right = _build_residuals(g, left=False)
     n = len(g.simples)
     g.left_div_mask = [0] * n
-    g.left_mult_mask = [0] * n
+    left_mult_mask = [0] * n
     right_div_mask = [0] * n
     right_mult_mask = [0] * n
     for a in range(n):
         for b in range(n):
             if g.residual_left[a][b] is not None:
                 g.left_div_mask[b] |= 1 << a
-                g.left_mult_mask[a] |= 1 << b
+                left_mult_mask[a] |= 1 << b
             if residual_right[a][b] is not None:
                 right_div_mask[b] |= 1 << a
                 right_mult_mask[a] |= 1 << b
-    g.gcd_left_table = _bound_table(g, g.left_div_mask, "left", lower=True)
-    g.lcm_left_table = _bound_table(g, g.left_mult_mask, "left", lower=False)
+    gcd_left = _bound_table(g, g.left_div_mask, "left", lower=True)
+    _bound_table(g, left_mult_mask, "left", lower=False)
     _bound_table(g, right_div_mask, "right", lower=True)
     _bound_table(g, right_mult_mask, "right", lower=False)
 
@@ -428,11 +420,11 @@ def build_garside(
     g.product_decomp_table = [[(0, 0)] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            e = g.gcd_left_table[g.left_complement[a]][b]
+            e = gcd_left[g.left_complement[a]][b]
             c = g.simple_product(a, e)
             d = g.residual_left[e][b]
             assert c is not None and d is not None
-            if g.gcd_left_table[g.left_complement[c]][d] != g.identity:
+            if gcd_left[g.left_complement[c]][d] != g.identity:
                 raise AxiomViolation(
                     "lattice",
                     [
@@ -441,7 +433,9 @@ def build_garside(
                     ],
                 )
             g.product_decomp_table[a][b] = (c, d)
-    g._atom_nf = {a: NormalForm(0, (a,)) for a in g.atoms}
+    # An atom equal to Delta (the free monoid on one letter) is Delta^1, not
+    # a factor, so each atom goes through the normaliser.
+    g._atom_nf = {a: g.normal_form_simples([(a, 1)]) for a in g.atoms}
 
     # Twist identity x * Delta = Delta * phi(x), at the normal-form level.
     for x in range(n):

@@ -302,6 +302,12 @@ def test_budget_error_names_the_stratum(capsys):
     assert err == "error: stratum of length 9 has 19683 words, over the budget of 19682\n"
 
 
+def test_typeb_rank_one_check_epsilon_passes(capsys):
+    rc, out, _ = run(capsys, "typeb", "-n", "1", "--check-epsilon")
+    assert rc == 0
+    assert json.loads(out)["epsilon_check"]["delta_central"] is True
+
+
 def test_typeb_rank_four_is_over_the_default_budget(capsys):
     rc, out, err = run(capsys, "typeb", "-n", "4", "--check-epsilon")
     assert rc == 2
@@ -352,7 +358,7 @@ def test_verify_unbalanced_report(capsys, tmp_path, text, witnesses):
         (
             ["roots", "g12", "--zp", "0", "-d", "2"],
             {},
-            1,
+            2,
             "exponents must be positive, got (2, 0)",
         ),
     ],

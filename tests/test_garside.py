@@ -3,7 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from garside.errors import AxiomViolation
-from garside.monoid import IDENTITY_NF, NormalForm, build_garside, verify_presentation
+from garside.monoid import (
+    IDENTITY_NF,
+    NormalForm,
+    _bound_table,
+    build_garside,
+    verify_presentation,
+)
 from garside.presentation import congruence_classes, parse_presentation
 
 
@@ -81,14 +87,18 @@ def test_phi_twist_matches_oracle_typeb(b2):
 
 
 def test_lattice_operations(g12):
-    for a in range(len(g12.simples)):
-        for b in range(len(g12.simples)):
-            meet = g12.gcd_left(a, b)
-            join = g12.lcm_left(a, b)
+    n = len(g12.simples)
+    multiples = [sum(1 << b for b in range(n) if g12.left_divides(a, b)) for a in range(n)]
+    gcd = _bound_table(g12, g12.left_div_mask, "left", lower=True)
+    lcm = _bound_table(g12, multiples, "left", lower=False)
+    for a in range(n):
+        for b in range(n):
+            meet = gcd[a][b]
+            join = lcm[a][b]
             assert g12.left_divides(meet, a) and g12.left_divides(meet, b)
             assert g12.left_divides(a, join) and g12.left_divides(b, join)
-        assert g12.gcd_left(a, g12.delta) == a
-        assert g12.lcm_left(a, g12.identity) == a
+        assert gcd[a][g12.delta] == a
+        assert lcm[a][g12.identity] == a
 
 
 def test_product_decomp_is_left_weighted(g12):

@@ -76,6 +76,7 @@ def test_check_epsilon_rank_one():
     g = build_garside(typeb_presentation(1))
     report = check_epsilon(g, 1)
     assert report["epsilon_power_is_delta"] is True
+    assert report["delta_central"] is True
 
 
 def test_check_epsilon_rejects_wrong_structure(g12):
