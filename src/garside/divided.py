@@ -15,9 +15,13 @@ the prefixes cut, not the number of length combinations.  With n = 0 every
 entry is free and the walk lists all decompositions of Delta.
 
 C_p^q has objects D_p^q, generating morphisms D_2p^2q, and relations induced
-by D_3p^3q (each 3p-tuple yields a composable triple f;g = h).  Tuples of the
-interleaved form (1, x_1, 1, x_2, ...) are the object identities; relations
-through them are provably trivial and are checked, then dropped.  An
+by D_3p^3q (each 3p-tuple yields a composable triple f;g = h).  A morphism's
+endpoints and a triple's three parts are built from the tuple's entries and
+its twisted products t_i t_i+1 (phi(t_1) following t_m), each one read from
+the structure's two-simple product table.  Tuples of the interleaved form
+(1, x_1, 1, x_2, ...) are the object identities; f or g is one exactly when
+the entries it takes from the 3p-tuple are all 1, so relations through them
+are recognised from the 3p-tuple itself, proved trivial, then dropped.  An
 endomorphism generator defined by some triple (f, g, endo) with f, g proper
 non-endos is eliminated and rewritten as that path, matching how such
 composites are usually named rather than listed as generators.
@@ -32,7 +36,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import GarsideError, NonComposablePath
 from .monoid import GarsideStructure, NormalForm
@@ -202,38 +208,16 @@ class DividedCategory:
 
 
 def _is_identity_tuple(t: tuple[int, ...]) -> bool:
-    return all(t[i] == 0 for i in range(0, len(t), 2))
+    return not any(t[::2])
 
 
-def _endpoints(
-    g: GarsideStructure, t: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    p = len(t) // 2
-    source = []
-    target = []
-    for k in range(p):
-        source.append(g.simple_product(t[2 * k], t[2 * k + 1]))
-        right = t[2 * k + 2] if k < p - 1 else g.phi_simple(t[0])
-        target.append(g.simple_product(t[2 * k + 1], right))
-    assert None not in source and None not in target, "non-simple endpoint block"
-    return tuple(source), tuple(target)
-
-
-def _triple_parts(
-    g: GarsideStructure, u: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    p = len(u) // 3
-    f: list[int] = []
-    h: list[int] = []
-    gg: list[int] = []
-    for k in range(p):
-        f += [u[3 * k], g.simple_product(u[3 * k + 1], u[3 * k + 2])]
-        nxt = u[3 * k + 3] if k < p - 1 else g.phi_simple(u[0])
-        gg += [u[3 * k + 1], g.simple_product(u[3 * k + 2], nxt)]
-        h += [g.simple_product(u[3 * k], u[3 * k + 1]), u[3 * k + 2]]
-    parts = (tuple(f), tuple(gg), tuple(h))
-    assert all(None not in part for part in parts), "non-simple relation block"
-    return parts
+def _twisted_products(
+    product: list[list[int | None]], phi: tuple[int, ...], t: tuple[int, ...]
+) -> tuple[int | None, ...]:
+    """(t_1 t_2, t_2 t_3, ..., t_m phi(t_1)) read from the product table."""
+    # product[t_i][t_i+1] with the row and the column lookups mapped in C.
+    rows = map(product.__getitem__, t)
+    return tuple(map(list.__getitem__, rows, t[1:] + (phi[t[0]],)))
 
 
 def build_category(g: GarsideStructure, p: int, q: int) -> DividedCategory:
@@ -242,13 +226,19 @@ def build_category(g: GarsideStructure, p: int, q: int) -> DividedCategory:
         raise ValueError("need p >= 1 and q >= 0")
     objects = divided_set(g, p, q)
     obj_index = {t: i for i, t in enumerate(objects)}
+    product = g.product_table
+    phi = g.phi_power_perm(1)
 
+    # t = (a_1, b_1, ..., a_p, b_p) runs from (a_k b_k)_k to (b_k a_k+1)_k,
+    # with a_p+1 = phi(a_1): its twisted products, alternately.
     raw = divided_set(g, 2 * p, 2 * q)
     morphisms: list[Morphism] = []
     mor_index: dict[tuple[int, ...], int] = {}
     identity_tuples: dict[int, tuple[int, ...]] = {}
     for t in raw:
-        src_t, tgt_t = _endpoints(g, t)
+        blocks = _twisted_products(product, phi, t)
+        assert None not in blocks, "non-simple endpoint block"
+        src_t, tgt_t = blocks[0::2], blocks[1::2]
         assert src_t in obj_index and tgt_t in obj_index, "dangling endpoint"
         if _is_identity_tuple(t):
             oid = obj_index[src_t]
@@ -259,23 +249,37 @@ def build_category(g: GarsideStructure, p: int, q: int) -> DividedCategory:
             morphisms.append(Morphism(t, obj_index[src_t], obj_index[tgt_t]))
     assert set(identity_tuples) == set(range(len(objects)))
 
+    # u = (a_1, b_1, c_1, ..., a_p, b_p, c_p) composes f = (a_k, b_k c_k)_k
+    # and g = (b_k, c_k a_k+1)_k into h = (a_k b_k, c_k)_k, a_p+1 = phi(a_1).
+    # In w = u + u's twisted products, each part is a fixed pick of entries.
+    m = 3 * p
+    ks = range(0, m, 3)
+    pick_f = itemgetter(*[i for k in ks for i in (k, m + k + 1)])
+    pick_g = itemgetter(*[i for k in ks for i in (k + 1, m + k + 2)])
+    pick_h = itemgetter(*[i for k in ks for i in (m + k, k + 2)])
+    sources = [mor.source for mor in morphisms]
+    targets = [mor.target for mor in morphisms]
     triples: list[tuple[int, int, int]] = []
-    for u in divided_set(g, 3 * p, 3 * q):
-        f_t, g_t, h_t = _triple_parts(g, u)
-        ids = [_is_identity_tuple(t) for t in (f_t, g_t, h_t)]
-        if any(ids):
+    for u in divided_set(g, m, 3 * q):
+        blocks = _twisted_products(product, phi, u)
+        assert None not in blocks, "non-simple relation block"
+        w = u + blocks
+        f_t, g_t, h_t = pick_f(w), pick_g(w), pick_h(w)
+        f_is_id = not any(u[0::3])
+        g_is_id = not any(u[1::3])
+        if f_is_id or g_is_id:
             # Identity-involving relations carry no content; prove it.
-            if ids[2]:
-                assert ids[0] and ids[1] and f_t == g_t == h_t
-            elif ids[0]:
+            if f_is_id and g_is_id:
+                assert f_t == g_t == h_t
+            elif f_is_id:
                 assert g_t == h_t
             else:
                 assert f_t == h_t
             continue
-        fid, gid, hid = (mor_index[t] for t in (f_t, g_t, h_t))
-        assert morphisms[fid].target == morphisms[gid].source
-        assert morphisms[fid].source == morphisms[hid].source
-        assert morphisms[gid].target == morphisms[hid].target
+        fid, gid, hid = mor_index[f_t], mor_index[g_t], mor_index[h_t]
+        assert targets[fid] == sources[gid]
+        assert sources[fid] == sources[hid]
+        assert targets[gid] == targets[hid]
         triples.append((fid, gid, hid))
 
     eliminated: dict[int, tuple[int, int]] = {}
@@ -386,9 +390,9 @@ def vertex_group(c: DividedCategory, base: int) -> VertexGroupPresentation:
             adjacency.setdefault(m.target, []).append((m.source, mid, -1))
 
     paths: dict[int, Path] = {base: []}
-    frontier = [base]
+    frontier = deque([base])
     while frontier:
-        node = frontier.pop(0)
+        node = frontier.popleft()
         for nxt, mid, sign in adjacency.get(node, ()):
             if nxt not in paths:
                 paths[nxt] = paths[node] + [(mid, sign)]

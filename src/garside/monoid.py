@@ -4,11 +4,13 @@ A structure is built from a homogeneous presentation with a designated
 Garside word Delta.  Simples are the congruence classes of prefixes of
 words in Delta's class, so the build asks the lazy congruence oracle only
 about Delta's class and the classes of its prefixes and suffixes.  Every
-word of every simple is then looked up in one dictionary, and every table
-below (residuals from the two-simple products, division, gcd/lcm, the
-left-weighted product splitting, the automorphism phi) is computed from
-those lookups and verified exhaustively.  Axiom failures raise
-AxiomViolation with rendered witnesses instead of producing a structure.
+word of every simple is then looked up in one dictionary, and that
+dictionary fills the n x n two-simple product table: entry [a][b] is the
+simple a.b, or None when a.b is not simple.  Every table below (residuals,
+division, gcd/lcm, the left-weighted product splitting, the automorphism
+phi) reads its products from that table and is verified exhaustively.
+Axiom failures raise AxiomViolation with rendered witnesses instead of
+producing a structure.
 
 Elements of the Garside group are NormalForm values: an integer power of
 Delta followed by left-weighted simple factors, none equal to the identity
@@ -69,7 +71,9 @@ class GarsideStructure:
         self.delta = 0
         self.atoms: tuple[int, ...] = ()
         self.generator_atoms: tuple[int, ...] = ()  # generator index -> atom
+        self.product_table: list[list[int | None]] = []  # [a][b] = a * b, if simple
         self.left_div_mask: list[int] = []     # bit i set in entry j: i left-divides j
+        self.atom_mask = 0  # bit a set for each atom a
         self.residual_left: list[list[int | None]] = []   # a * c = b  =>  [a][b] = c
         self.left_complement: tuple[int, ...] = ()   # a * comp(a) = Delta
         self._phi_powers: list[tuple[int, ...]] = []
@@ -102,7 +106,7 @@ class GarsideStructure:
 
     def simple_product(self, a: int, b: int) -> int | None:
         """Product of two simples when it is again simple, else None."""
-        return self.simple_of_word(self.simples[a] + self.simples[b])
+        return self.product_table[a][b]
 
     def simple_length(self, a: int) -> int:
         return len(self.simples[a])
@@ -133,11 +137,8 @@ class GarsideStructure:
 
     def left_weighted(self, a: int, b: int) -> bool:
         """No atom x satisfies a*x <= Delta and x <= b."""
-        comp = self.left_complement[a]
-        return not any(
-            self.left_divides(x, comp) and self.left_divides(x, b)
-            for x in self.atoms
-        )
+        mask = self.left_div_mask
+        return not mask[self.left_complement[a]] & mask[b] & self.atom_mask
 
     # -- normal forms ------------------------------------------------------
 
@@ -265,17 +266,28 @@ def _divisor_classes(g: GarsideStructure, prefixes: bool) -> set[Word]:
     return out
 
 
+def _product_table(g: GarsideStructure) -> list[list[int | None]]:
+    """[a][b] = the simple a * b, or None when it is not simple.
+
+    A word of a followed by a word of b is a word of a * b, and word_simple
+    holds every word of every simple, so one lookup per pair decides it.
+    """
+    lookup = g.word_simple.get
+    return [[lookup(u + v) for v in g.simples] for u in g.simples]
+
+
 def _build_residuals(g: GarsideStructure, left: bool) -> list[list[int | None]]:
     """Residuals from the two-simple products: [a][b] = c for a * c = b
     (left) or c * a = b (right).  A clash is reported at the least (a, b),
     with its two least candidates.
     """
     n = len(g.simples)
+    product = g.product_table
     table: list[list[int | None]] = [[None] * n for _ in range(n)]
     clashes: dict[tuple[int, int], tuple[int, int]] = {}
     for a in range(n):
         for c in range(n):
-            b = g.simple_product(a, c) if left else g.simple_product(c, a)
+            b = product[a][c] if left else product[c][a]
             if b is None:
                 continue
             first = table[a][b]
@@ -354,6 +366,8 @@ def build_garside(
         atom_ids.append(a)
     g.generator_atoms = tuple(atom_ids)
     g.atoms = tuple(sorted(set(atom_ids)))
+    g.atom_mask = sum(1 << a for a in g.atoms)
+    g.product_table = _product_table(g)
 
     # Residuals, divisibility masks, lattice tables.  All four lattice tables
     # are checked for the lattice axiom; only the left gcd table is kept, as a
@@ -421,7 +435,7 @@ def build_garside(
     for a in range(n):
         for b in range(n):
             e = gcd_left[g.left_complement[a]][b]
-            c = g.simple_product(a, e)
+            c = g.product_table[a][e]
             d = g.residual_left[e][b]
             assert c is not None and d is not None
             if gcd_left[g.left_complement[c]][d] != g.identity:

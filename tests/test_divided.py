@@ -266,6 +266,23 @@ def test_category_typeb2_4_4(b2):
     assert len(cat.triples) == 1480
 
 
+@pytest.mark.parametrize(
+    "name, p, q",
+    [("g12", k, k) for k in range(2, 8)]
+    + [("g12", 2, 3), ("g13", 3, 4), ("g13", 1, 2), ("b2", 4, 4), ("b3", 2, 2)],
+)
+def test_category_matches_word_product_reference(request, name, p, q):
+    g = request.getfixturevalue(name)
+    cat = build_category(g, p, q)
+    ref = divided_reference.build_category(g, p, q)
+    assert cat.objects == ref.objects
+    assert cat.morphisms == ref.morphisms
+    assert cat.identity_tuples == ref.identity_tuples
+    assert cat.triples == ref.triples
+    assert cat.eliminated == ref.eliminated
+    assert cat.relations == ref.relations
+
+
 def test_divided_set_result_is_freed_with_its_caller(g13):
     # A walk whose closure keeps referring to itself would hold each result
     # until the cycle collector runs, which raised a worker's peak memory.

@@ -11,6 +11,7 @@ from garside.monoid import (
     verify_presentation,
 )
 from garside.presentation import congruence_classes, parse_presentation
+from garside.typeb import typeb_presentation
 
 
 def test_verify_g12(g12):
@@ -109,6 +110,35 @@ def test_product_decomp_is_left_weighted(g12):
             assert g12.simple_length(c) + g12.simple_length(d) == (
                 g12.simple_length(a) + g12.simple_length(b)
             )
+
+
+@pytest.fixture(scope="module", params=["g12", "g13", "b2", "b3", 1, 2, 3])
+def any_structure(request):
+    if isinstance(request.param, int):
+        return build_garside(typeb_presentation(request.param))
+    return request.getfixturevalue(request.param)
+
+
+def test_product_table_matches_word_lookup(any_structure):
+    g = any_structure
+    n = len(g.simples)
+    for a in range(n):
+        for b in range(n):
+            assert g.simple_product(a, b) == g.simple_of_word(
+                g.simples[a] + g.simples[b]
+            ), (a, b)
+
+
+def test_left_weighted_mask_matches_atom_loop(any_structure):
+    g = any_structure
+    n = len(g.simples)
+    for a in range(n):
+        comp = g.left_complement[a]
+        for b in range(n):
+            expected = not any(
+                g.left_divides(x, comp) and g.left_divides(x, b) for x in g.atoms
+            )
+            assert g.left_weighted(a, b) == expected, (a, b)
 
 
 def test_normal_form_examples(g12):
