@@ -9,6 +9,10 @@ dictionary fills the n x n two-simple product table: entry [a][b] is the
 simple a.b, or None when a.b is not simple.  Every table below (residuals,
 division, gcd/lcm, the left-weighted product splitting, the automorphism
 phi) reads its products from that table and is verified exhaustively.
+The residual passes also fill each simple's divisor and multiple masks;
+divisibility is a partial order, so the gcd (lcm) of two simples is the
+one simple whose divisor (multiple) mask is the AND of theirs, and each
+entry of the four gcd/lcm tables is one dict lookup keyed by that mask.
 Axiom failures raise AxiomViolation with rendered witnesses instead of
 producing a structure.
 
@@ -46,13 +50,6 @@ class NormalForm:
     factors: tuple[int, ...]
 
 IDENTITY_NF = NormalForm(0, ())
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class GarsideStructure:
@@ -276,25 +273,38 @@ def _product_table(g: GarsideStructure) -> list[list[int | None]]:
     return [[lookup(u + v) for v in g.simples] for u in g.simples]
 
 
-def _build_residuals(g: GarsideStructure, left: bool) -> list[list[int | None]]:
+def _build_residuals(
+    g: GarsideStructure, left: bool
+) -> tuple[list[list[int | None]], list[int], list[int]]:
     """Residuals from the two-simple products: [a][b] = c for a * c = b
     (left) or c * a = b (right).  A clash is reported at the least (a, b),
     with its two least candidates.
+
+    Also returns the divisor and multiple masks on that side: bit a of
+    div_mask[b] and bit b of mult_mask[a] are set iff a divides b.
     """
     n = len(g.simples)
     product = g.product_table
     table: list[list[int | None]] = [[None] * n for _ in range(n)]
+    div_mask = [0] * n
+    mult_mask = [0] * n
     clashes: dict[tuple[int, int], tuple[int, int]] = {}
     for a in range(n):
+        row = table[a]
+        bit = 1 << a
+        multiples = 0
         for c in range(n):
             b = product[a][c] if left else product[c][a]
             if b is None:
                 continue
-            first = table[a][b]
+            first = row[b]
             if first is None:
-                table[a][b] = c
+                row[b] = c
+                div_mask[b] |= bit
+                multiples |= 1 << b
             else:
                 clashes.setdefault((a, b), (first, c))
+        mult_mask[a] = multiples
     if clashes:
         a, b = min(clashes)
         first, second = clashes[a, b]
@@ -307,29 +317,42 @@ def _build_residuals(g: GarsideStructure, left: bool) -> list[list[int | None]]:
                 f"{g.render_simple(first)} vs {g.render_simple(second)}"
             ],
         )
-    return table
+    return table, div_mask, mult_mask
 
 
 def _bound_table(
     g: GarsideStructure, masks: list[int], kind: str, lower: bool
 ) -> list[list[int]]:
-    """gcd table when lower (masks = divisor masks), lcm table otherwise."""
-    n = len(g.simples)
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            common = masks[a] & masks[b]
-            winners = [w for w in _bits(common) if common & ~masks[w] == 0]
-            if len(winners) != 1:
-                what = ("gcd" if lower else "lcm") + f" ({kind})"
-                raise AxiomViolation(
-                    "lattice",
-                    [
-                        f"{what} of {g.render_simple(a)} and {g.render_simple(b)} "
-                        f"has {len(winners)} candidates"
-                    ],
-                )
-            table[a][b] = table[b][a] = winners[0]
+    """gcd table when lower (masks = divisor masks), lcm table otherwise.
+
+    Divisibility is reflexive, transitive and antisymmetric, so the gcd of
+    a and b, when it exists, is the one simple whose divisor mask equals
+    masks[a] & masks[b], and the lcm the one whose multiple mask equals it:
+    each entry is one dict lookup.  A pair whose mask no simple owns fails
+    the lattice axiom; its witness counts the common divisors (multiples)
+    w that every other one divides (is divided by).
+    """
+    owner = {m: w for w, m in enumerate(masks)}.get
+    table = []
+    for a, mask_a in enumerate(masks):
+        row = list(map(owner, map(mask_a.__and__, masks)))
+        if None in row:
+            # Rows above a had no gap, and the table is symmetric, so the
+            # first gap of this row is the first failing pair with a <= b.
+            b = row.index(None)
+            common = mask_a & masks[b]
+            winners = sum(
+                1 for w, m in enumerate(masks) if common >> w & 1 and common & ~m == 0
+            )
+            what = ("gcd" if lower else "lcm") + f" ({kind})"
+            raise AxiomViolation(
+                "lattice",
+                [
+                    f"{what} of {g.render_simple(a)} and {g.render_simple(b)} "
+                    f"has {winners} candidates"
+                ],
+            )
+        table.append(row)
     return table
 
 
@@ -372,21 +395,13 @@ def build_garside(
     # Residuals, divisibility masks, lattice tables.  All four lattice tables
     # are checked for the lattice axiom; only the left gcd table is kept, as a
     # local, for the product splitting below.
-    g.residual_left = _build_residuals(g, left=True)
-    residual_right = _build_residuals(g, left=False)
+    g.residual_left, g.left_div_mask, left_mult_mask = _build_residuals(
+        g, left=True
+    )
+    residual_right, right_div_mask, right_mult_mask = _build_residuals(
+        g, left=False
+    )
     n = len(g.simples)
-    g.left_div_mask = [0] * n
-    left_mult_mask = [0] * n
-    right_div_mask = [0] * n
-    right_mult_mask = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if g.residual_left[a][b] is not None:
-                g.left_div_mask[b] |= 1 << a
-                left_mult_mask[a] |= 1 << b
-            if residual_right[a][b] is not None:
-                right_div_mask[b] |= 1 << a
-                right_mult_mask[a] |= 1 << b
     gcd_left = _bound_table(g, g.left_div_mask, "left", lower=True)
     _bound_table(g, left_mult_mask, "left", lower=False)
     _bound_table(g, right_div_mask, "right", lower=True)

@@ -135,6 +135,11 @@ class CongruenceTable:
     _members: dict[Word, tuple[Word, ...]] = field(
         default_factory=dict, init=False, repr=False
     )
+    _rules: tuple[tuple[Word, Word], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        relations = self.presentation.relations
+        self._rules = relations + tuple((rhs, lhs) for lhs, rhs in relations)
 
     def rep(self, word: Word) -> Word:
         if len(word) > self.max_length:
@@ -143,13 +148,11 @@ class CongruenceTable:
         return self._close(word) if found is None else found
 
     def _close(self, word: Word) -> Word:
-        rules = [(lhs, rhs) for lhs, rhs in self.presentation.relations]
-        rules += [(rhs, lhs) for lhs, rhs in self.presentation.relations]
         seen = {word}
         stack = [word]
         while stack:
             w = stack.pop()
-            for lhs, rhs in rules:
+            for lhs, rhs in self._rules:
                 span = len(lhs)
                 for at in range(len(w) - span + 1):
                     if w[at : at + span] == lhs:

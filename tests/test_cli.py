@@ -338,6 +338,30 @@ def test_verify_unbalanced_report(capsys, tmp_path, text, witnesses):
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
+def test_verify_gcd_witness_report(capsys, tmp_path):
+    path = tmp_path / "no_gcd.gar"
+    path.write_text("gens: a b\nrel: a b = b a\nrel: a a = b b\ndelta: b a b a\n")
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 1
+    assert err == ""
+    assert out == (
+        "{\n"
+        '  "schema": 1,\n'
+        f'  "source": {json.dumps(str(path))},\n'
+        '  "axioms": {\n'
+        '    "balanced": true,\n'
+        '    "lattice": false,\n'
+        '    "phi": null\n'
+        "  },\n"
+        '  "simple_count": null,\n'
+        '  "phi_order": null,\n'
+        '  "witnesses": [\n'
+        '    "gcd (left) of a a and a b has 0 candidates"\n'
+        "  ]\n"
+        "}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, files, code, message",
     [

@@ -57,7 +57,8 @@ def test_residuals_match_reference_scan(name):
     g = bundled.get_structure(name)
     ref = reference(name)
     assert g.residual_left == residuals(g, ref, left=True)
-    assert monoid._build_residuals(g, left=False) == residuals(g, ref, left=False)
+    table, _, _ = monoid._build_residuals(g, left=False)
+    assert table == residuals(g, ref, left=False)
 
 
 @pytest.mark.parametrize(

@@ -87,19 +87,35 @@ def test_phi_twist_matches_oracle_typeb(b2):
         assert table.congruent(word + p.delta_word, p.delta_word + twisted)
 
 
-def test_lattice_operations(g12):
-    n = len(g12.simples)
-    multiples = [sum(1 << b for b in range(n) if g12.left_divides(a, b)) for a in range(n)]
-    gcd = _bound_table(g12, g12.left_div_mask, "left", lower=True)
-    lcm = _bound_table(g12, multiples, "left", lower=False)
-    for a in range(n):
-        for b in range(n):
-            meet = gcd[a][b]
-            join = lcm[a][b]
-            assert g12.left_divides(meet, a) and g12.left_divides(meet, b)
-            assert g12.left_divides(a, join) and g12.left_divides(b, join)
-        assert gcd[a][g12.delta] == a
-        assert lcm[a][g12.identity] == a
+def test_lattice_operations(g12, g13, b2, b3):
+    # On both sides, the meet is the greatest common divisor (every common
+    # divisor divides it) and the join the least common multiple (it divides
+    # every common multiple).  Divisibility is read from the product table,
+    # not from the masks the build derives.
+    typeb = [build_garside(typeb_presentation(rank)) for rank in (1, 2, 3)]
+    for g in [g12, g13, b2, b3, *typeb]:
+        n = len(g.simples)
+        for kind in ("left", "right"):
+            divisors = [0] * n  # bit x of divisors[y]: x divides y
+            multiples = [0] * n  # bit y of multiples[x]: x divides y
+            for x in range(n):
+                for c in range(n):
+                    y = g.simple_product(*((x, c) if kind == "left" else (c, x)))
+                    if y is not None:
+                        divisors[y] |= 1 << x
+                        multiples[x] |= 1 << y
+            gcd = _bound_table(g, divisors, kind, lower=True)
+            lcm = _bound_table(g, multiples, kind, lower=False)
+            for a in range(n):
+                for b in range(n):
+                    common = divisors[a] & divisors[b]
+                    meet = gcd[a][b]
+                    assert common >> meet & 1 and common & ~divisors[meet] == 0
+                    common = multiples[a] & multiples[b]
+                    join = lcm[a][b]
+                    assert common >> join & 1 and common & ~multiples[join] == 0
+                assert gcd[a][g.delta] == a
+                assert lcm[a][g.identity] == a
 
 
 def test_product_decomp_is_left_weighted(g12):
