@@ -306,23 +306,25 @@ def build_category(g: GarsideStructure, p: int, q: int) -> DividedCategory:
     )
 
 
+def _find(parent: list[int], i: int) -> int:
+    """Root of i in a union-find forest, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 def components(c: DividedCategory) -> list[list[int]]:
     """Undirected connected components of the objects, sorted by least member."""
     parent = list(range(len(c.objects)))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for m in c.morphisms:
-        ra, rb = find(m.source), find(m.target)
+        ra, rb = _find(parent, m.source), _find(parent, m.target)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
     groups: dict[int, list[int]] = {}
     for i in range(len(c.objects)):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(_find(parent, i), []).append(i)
     return [sorted(groups[r]) for r in sorted(groups)]
 
 
@@ -373,18 +375,13 @@ def vertex_group(c: DividedCategory, base: int) -> VertexGroupPresentation:
     gens = c.generator_ids()
     parent = list(range(len(c.objects)))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     tree: list[int] = []
     adjacency: dict[int, list[tuple[int, int, int]]] = {}
     for mid in gens:
         m = c.morphisms[mid]
-        if find(m.source) != find(m.target):
-            parent[find(m.source)] = find(m.target)
+        rs, rt = _find(parent, m.source), _find(parent, m.target)
+        if rs != rt:
+            parent[rs] = rt
             tree.append(mid)
             adjacency.setdefault(m.source, []).append((m.target, mid, 1))
             adjacency.setdefault(m.target, []).append((m.source, mid, -1))

@@ -26,14 +26,19 @@ class InhomogeneousPresentation(GarsideError):
 
 
 class BudgetExceeded(GarsideError):
-    """An enumeration stratum is larger than the configured word budget."""
+    """An enumeration stratum is larger than the configured word budget, or
+    a word is longer than a congruence table's length bound."""
 
-    def __init__(self, length: int, count: int, budget: int) -> None:
+    def __init__(
+        self, length: int, count: int, budget: int, message: str | None = None
+    ) -> None:
         self.length = length
         self.count = count
         self.budget = budget
         super().__init__(
-            f"stratum of length {length} has {count} words, over the budget of {budget}"
+            message
+            or f"stratum of length {length} has {count} words, "
+            f"over the budget of {budget}"
         )
 
 
@@ -41,7 +46,10 @@ class AxiomViolation(GarsideError):
     """A Garside axiom failed on the input presentation.
 
     `kind` is one of "balanced", "lattice", "phi"; `witnesses` is a list of
-    human-readable strings pinpointing the failure.
+    human-readable strings pinpointing the failure.  The build raises only
+    "balanced" and "lattice": the phi stage holds whenever the lattice stage
+    does (see garside.monoid), so a report never shows it false, and shows
+    it null only after an earlier stage failed.
     """
 
     def __init__(self, kind: str, witnesses: list[str]) -> None:

@@ -6,30 +6,55 @@ words in Delta's class, so the build asks the lazy congruence oracle only
 about Delta's class and the classes of its prefixes and suffixes.  Every
 word of every simple is then looked up in one dictionary, and that
 dictionary fills the n x n two-simple product table: entry [a][b] is the
-simple a.b, or None when a.b is not simple.  Every table below (residuals,
-division, gcd/lcm, the left-weighted product splitting, the automorphism
-phi) reads its products from that table and is verified exhaustively.
-The residual passes also fill each simple's divisor and multiple masks;
-divisibility is a partial order, so the gcd (lcm) of two simples is the
-one simple whose divisor (multiple) mask is the AND of theirs, and each
-entry of the four gcd/lcm tables is one dict lookup keyed by that mask.
-Axiom failures raise AxiomViolation with rendered witnesses instead of
-producing a structure.
+simple a.b, or None when a.b is not simple.  The residual, division and
+gcd tables, the left-weighted product splitting and the automorphism phi
+all read their products from that table.
+
+The build checks only the axioms that can reject an input, and raises
+AxiomViolation with rendered witnesses at the first that fails:
+
+- balanced: the prefix classes of Delta equal its suffix classes, and every
+  generator divides Delta;
+- lattice: left residuals of simples are unique (a.c = a.c' forces c = c'),
+  and every two simples have a left gcd.  The residual pass fills each
+  simple's divisor mask; divisibility is a partial order, so the gcd of two
+  simples is the one simple whose mask is the AND of theirs, one dict
+  lookup per entry.
+
+Standard Garside theory (Dehornoy-Paris 1999; Dehornoy et al., Foundations
+of Garside Theory, EMS 2015) derives the rest from these, so the build
+does not check it.  Write ∂a for the left complement, a.∂a = Delta.
+
+- Complement injectivity: every part of a simple is simple, so ∂ is
+  defined on all simples; it is onto because suffixes are prefixes, hence
+  it is a bijection.
+- Right residuals: c.a = c'.a = b gives ∂c = a.∂b = ∂c', so a bijective ∂
+  gives right cancellation, c = c'.
+- Left lcm, right gcd and right lcm: ∂ reverses order between left and
+  right divisibility, and a finite meet-semilattice with top Delta is a
+  lattice.
+- phi a permutation fixing 1 and Delta, preserving atoms: phi = ∂^2 is a
+  bijection and keeps length.
+- Left-weighted splitting: a.b = c.d with e = gcd(∂a, b), c = a.e and
+  e.d = b needs only left cancellation and left gcds.
+- Twist identity x.Delta = Delta.phi(x): both are x.∂x.phi(x).
+
+The "phi" stage of a report therefore holds whenever "lattice" does.  The
+build that checks all of these is kept in the tests as the reference.
 
 Elements of the Garside group are NormalForm values: an integer power of
 Delta followed by left-weighted simple factors, none equal to the identity
 or to Delta.  All arithmetic rests on one step: right-multiplying such a
 factor list by a simple, with a single right-to-left sweep of the product
 splitting table that stops at the first pair already left-weighted.  An
-inverse letter a^-1 = da . Delta^-1 (da the complement of a) is taken as
-x . a^-1 = Delta^-1 . phi^-1(x . da); signed products keep their factors
+inverse letter a^-1 = ∂a . Delta^-1 is taken as
+x . a^-1 = Delta^-1 . phi^-1(x . ∂a); signed products keep their factors
 in a frame twisted by a pending power of phi and untwist once at the end.
 Inversion has the closed form of El-Rifai and Morton.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import AxiomViolation, GarsideError
@@ -253,14 +278,16 @@ class GarsideStructure:
         return True
 
 
-def _divisor_classes(g: GarsideStructure, prefixes: bool) -> set[Word]:
+def _divisor_classes(g: GarsideStructure) -> tuple[set[Word], set[Word]]:
+    """Classes of the prefixes and of the suffixes of Delta's words."""
     oracle = g.oracle
-    members = oracle.class_members(g.presentation.delta_word)
-    out: set[Word] = set()
-    for w in members:
+    prefixes: set[Word] = set()
+    suffixes: set[Word] = set()
+    for w in oracle.class_members(g.presentation.delta_word):
         for k in range(len(w) + 1):
-            out.add(oracle.rep(w[:k] if prefixes else w[k:]))
-    return out
+            prefixes.add(oracle.rep(w[:k]))
+            suffixes.add(oracle.rep(w[k:]))
+    return prefixes, suffixes
 
 
 def _product_table(g: GarsideStructure) -> list[list[int | None]]:
@@ -273,64 +300,51 @@ def _product_table(g: GarsideStructure) -> list[list[int | None]]:
     return [[lookup(u + v) for v in g.simples] for u in g.simples]
 
 
-def _build_residuals(
-    g: GarsideStructure, left: bool
-) -> tuple[list[list[int | None]], list[int], list[int]]:
-    """Residuals from the two-simple products: [a][b] = c for a * c = b
-    (left) or c * a = b (right).  A clash is reported at the least (a, b),
-    with its two least candidates.
+def _build_residuals(g: GarsideStructure) -> tuple[list[list[int | None]], list[int]]:
+    """Left residuals from the two-simple products: [a][b] = c for a * c = b.
+    A clash is reported at the least (a, b), with its two least candidates.
 
-    Also returns the divisor and multiple masks on that side: bit a of
-    div_mask[b] and bit b of mult_mask[a] are set iff a divides b.
+    Also returns the divisor masks: bit a of div_mask[b] is set iff a
+    left-divides b.
     """
     n = len(g.simples)
-    product = g.product_table
     table: list[list[int | None]] = [[None] * n for _ in range(n)]
     div_mask = [0] * n
-    mult_mask = [0] * n
     clashes: dict[tuple[int, int], tuple[int, int]] = {}
-    for a in range(n):
+    for a, products in enumerate(g.product_table):
         row = table[a]
         bit = 1 << a
-        multiples = 0
-        for c in range(n):
-            b = product[a][c] if left else product[c][a]
+        for c, b in enumerate(products):
             if b is None:
                 continue
             first = row[b]
             if first is None:
                 row[b] = c
                 div_mask[b] |= bit
-                multiples |= 1 << b
             else:
                 clashes.setdefault((a, b), (first, c))
-        mult_mask[a] = multiples
     if clashes:
         a, b = min(clashes)
         first, second = clashes[a, b]
-        side = "left" if left else "right"
         raise AxiomViolation(
             "lattice",
             [
-                f"{side} residual of {g.render_simple(a)} in "
+                f"left residual of {g.render_simple(a)} in "
                 f"{g.render_simple(b)} is not unique: "
                 f"{g.render_simple(first)} vs {g.render_simple(second)}"
             ],
         )
-    return table, div_mask, mult_mask
+    return table, div_mask
 
 
-def _bound_table(
-    g: GarsideStructure, masks: list[int], kind: str, lower: bool
-) -> list[list[int]]:
-    """gcd table when lower (masks = divisor masks), lcm table otherwise.
+def _bound_table(g: GarsideStructure, masks: list[int]) -> list[list[int]]:
+    """Left gcd table from the left divisor masks.
 
     Divisibility is reflexive, transitive and antisymmetric, so the gcd of
     a and b, when it exists, is the one simple whose divisor mask equals
-    masks[a] & masks[b], and the lcm the one whose multiple mask equals it:
-    each entry is one dict lookup.  A pair whose mask no simple owns fails
-    the lattice axiom; its witness counts the common divisors (multiples)
-    w that every other one divides (is divided by).
+    masks[a] & masks[b]: each entry is one dict lookup.  A pair whose mask
+    no simple owns fails the lattice axiom; its witness counts the common
+    divisors w that every other one divides.
     """
     owner = {m: w for w, m in enumerate(masks)}.get
     table = []
@@ -344,11 +358,10 @@ def _bound_table(
             winners = sum(
                 1 for w, m in enumerate(masks) if common >> w & 1 and common & ~m == 0
             )
-            what = ("gcd" if lower else "lcm") + f" ({kind})"
             raise AxiomViolation(
                 "lattice",
                 [
-                    f"{what} of {g.render_simple(a)} and {g.render_simple(b)} "
+                    f"gcd (left) of {g.render_simple(a)} and {g.render_simple(b)} "
                     f"has {winners} candidates"
                 ],
             )
@@ -359,15 +372,14 @@ def _bound_table(
 def build_garside(
     p: Presentation, budget: int = DEFAULT_BUDGET
 ) -> GarsideStructure:
-    """Build and exhaustively verify the Garside structure over p."""
+    """Build the Garside structure over p, checking the axioms that can fail."""
     if not p.delta_word:
         raise GarsideError("delta word must be non-empty")
     oracle = congruence_classes(p, len(p.delta_word), budget)
     g = GarsideStructure(p, oracle)
 
     # Simples and balancedness.
-    prefixes = _divisor_classes(g, prefixes=True)
-    suffixes = _divisor_classes(g, prefixes=False)
+    prefixes, suffixes = _divisor_classes(g)
     if prefixes != suffixes:
         witnesses = [
             f"{p.render(w)} ({'left' if w in prefixes else 'right'} divisor only)"
@@ -392,52 +404,14 @@ def build_garside(
     g.atom_mask = sum(1 << a for a in g.atoms)
     g.product_table = _product_table(g)
 
-    # Residuals, divisibility masks, lattice tables.  All four lattice tables
-    # are checked for the lattice axiom; only the left gcd table is kept, as a
-    # local, for the product splitting below.
-    g.residual_left, g.left_div_mask, left_mult_mask = _build_residuals(
-        g, left=True
-    )
-    residual_right, right_div_mask, right_mult_mask = _build_residuals(
-        g, left=False
-    )
-    n = len(g.simples)
-    gcd_left = _bound_table(g, g.left_div_mask, "left", lower=True)
-    _bound_table(g, left_mult_mask, "left", lower=False)
-    _bound_table(g, right_div_mask, "right", lower=True)
-    _bound_table(g, right_mult_mask, "right", lower=False)
+    # The two lattice checks: unique left residuals, then left gcds.
+    g.residual_left, g.left_div_mask = _build_residuals(g)
+    gcd_left = _bound_table(g, g.left_div_mask)
 
     # Complements and the Garside automorphism phi = complement squared.
-    left_comp = [g.residual_left[a][g.delta] for a in range(n)]
-    assert None not in left_comp
-    assert all(residual_right[a][g.delta] is not None for a in range(n))
-    g.left_complement = tuple(left_comp)
-    if len(set(g.left_complement)) != n:
-        seen: dict[int, int] = {}
-        for a, c in enumerate(g.left_complement):
-            if c in seen:
-                raise AxiomViolation(
-                    "phi",
-                    [
-                        f"complement is not injective: {g.render_simple(seen[c])} "
-                        f"and {g.render_simple(a)} share {g.render_simple(c)}"
-                    ],
-                )
-            seen[c] = a
-    phi = tuple(g.left_complement[g.left_complement[a]] for a in range(n))
-    bad = [a for a in (g.identity, g.delta) if phi[a] != a]
-    if bad or sorted(phi) != list(range(n)):
-        raise AxiomViolation(
-            "phi", [f"phi is not a permutation fixing 1 and delta: {phi}"]
-        )
-    if {phi[a] for a in g.atoms} != set(g.atoms):
-        raise AxiomViolation(
-            "phi",
-            [
-                f"phi does not preserve atoms: "
-                f"{[g.render_simple(phi[a]) for a in g.atoms]}"
-            ],
-        )
+    n = len(g.simples)
+    g.left_complement = tuple(g.residual_left[a][g.delta] for a in range(n))
+    phi = tuple(g.left_complement[c] for c in g.left_complement)
     powers = [tuple(range(n))]
     current = phi
     while current != powers[0]:
@@ -445,36 +419,17 @@ def build_garside(
         current = tuple(phi[current[a]] for a in range(n))
     g._phi_powers = powers
 
-    # Left-weighted splitting of two-simple products.
-    g.product_decomp_table = [[(0, 0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            e = gcd_left[g.left_complement[a]][b]
-            c = g.product_table[a][e]
-            d = g.residual_left[e][b]
-            assert c is not None and d is not None
-            if gcd_left[g.left_complement[c]][d] != g.identity:
-                raise AxiomViolation(
-                    "lattice",
-                    [
-                        f"product of {g.render_simple(a)} and {g.render_simple(b)} "
-                        f"has no left-weighted splitting"
-                    ],
-                )
-            g.product_decomp_table[a][b] = (c, d)
+    # Left-weighted splitting of two-simple products: a * b = c * d with
+    # c = a * gcd(comp(a), b).
+    g.product_decomp_table = []
+    for a, comp in enumerate(g.left_complement):
+        products = g.product_table[a]
+        g.product_decomp_table.append(
+            [(products[e], g.residual_left[e][b]) for b, e in enumerate(gcd_left[comp])]
+        )
     # An atom equal to Delta (the free monoid on one letter) is Delta^1, not
     # a factor, so each atom goes through the normaliser.
     g._atom_nf = {a: g.normal_form_simples([(a, 1)]) for a in g.atoms}
-
-    # Twist identity x * Delta = Delta * phi(x), at the normal-form level.
-    for x in range(n):
-        if g.normal_form_simples([(x, 1), (g.delta, 1)]) != g.normal_form_simples(
-            [(g.delta, 1), (phi[x], 1)]
-        ):
-            raise AxiomViolation(
-                "phi",
-                [f"x.delta != delta.phi(x) for x = {g.render_simple(x)}"],
-            )
     return g
 
 

@@ -143,7 +143,13 @@ class CongruenceTable:
 
     def rep(self, word: Word) -> Word:
         if len(word) > self.max_length:
-            raise BudgetExceeded(len(word), -1, -1)
+            raise BudgetExceeded(
+                len(word),
+                len(word),
+                self.max_length,
+                f"word of length {len(word)} is longer than the table's bound "
+                f"of {self.max_length}",
+            )
         found = self.reps.get(word)
         return self._close(word) if found is None else found
 

@@ -320,6 +320,10 @@ def test_typeb_rank_four_is_over_the_default_budget(capsys):
     [
         ("gens: a b c\nrel: a a = a b\ndelta: a a\n", ["b (right divisor only)"]),
         ("gens: s t\ndelta: s t\n", ["s (left divisor only)", "t (right divisor only)"]),
+        (
+            "gens: a b c\nrel: a b = b a\ndelta: a b\n",
+            ["generator c does not divide delta"],
+        ),
     ],
 )
 def test_verify_unbalanced_report(capsys, tmp_path, text, witnesses):
@@ -338,9 +342,24 @@ def test_verify_unbalanced_report(capsys, tmp_path, text, witnesses):
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
-def test_verify_gcd_witness_report(capsys, tmp_path):
-    path = tmp_path / "no_gcd.gar"
-    path.write_text("gens: a b\nrel: a b = b a\nrel: a a = b b\ndelta: b a b a\n")
+@pytest.mark.parametrize(
+    "text, witness",
+    [
+        (
+            "gens: a b\nrel: a b = b a\nrel: a a = b b\ndelta: b a b a\n",
+            "gcd (left) of a a and a b has 0 candidates",
+        ),
+        (
+            "gens: a b\nrel: a b = b a\nrel: a b = b b\ndelta: a b\n",
+            "left residual of b in a b is not unique: a vs b",
+        ),
+    ],
+    ids=["gcd", "residual"],
+)
+def test_verify_gcd_witness_report(capsys, tmp_path, text, witness):
+    # The two lattice checks the build runs, each with its own witness.
+    path = tmp_path / "no_lattice.gar"
+    path.write_text(text)
     rc, out, err = run(capsys, "verify", str(path))
     assert rc == 1
     assert err == ""
@@ -356,7 +375,7 @@ def test_verify_gcd_witness_report(capsys, tmp_path):
         '  "simple_count": null,\n'
         '  "phi_order": null,\n'
         '  "witnesses": [\n'
-        '    "gcd (left) of a a and a b has 0 candidates"\n'
+        f"    {json.dumps(witness)}\n"
         "  ]\n"
         "}\n"
     )

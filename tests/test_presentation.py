@@ -100,7 +100,9 @@ def test_congruence_short_strata(g12):
 
 def test_congruence_table_rejects_long_words(g12):
     table = congruence_classes(g12.presentation, 2)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(
+        BudgetExceeded, match=r"^word of length 3 is longer than the table's bound of 2$"
+    ):
         table.rep((0, 1, 0))
 
 
