@@ -82,16 +82,7 @@ def _parse_signed_word(p: Presentation, text: str) -> list[tuple[int, int]]:
 
 def _cmd_verify(args: argparse.Namespace, budget: int) -> int:
     report = verify_presentation(bundled.load_presentation(args.source), budget)
-    _emit(
-        {
-            "schema": 1,
-            "source": args.source,
-            "axioms": report["axioms"],
-            "simple_count": report["simple_count"],
-            "phi_order": report["phi_order"],
-            "witnesses": report["witnesses"],
-        }
-    )
+    _emit({"schema": 1, "source": args.source, **report})
     return 0 if all(report["axioms"].values()) else 1
 
 
@@ -227,11 +218,9 @@ def _cmd_regular(args: argparse.Namespace, budget: int) -> int:
     if args.d is not None:
         payload["report"] = _regularity_payload(reflgroups.regularity(data, args.d))
     else:
-        regular = reflgroups.regular_numbers(data)
-        payload["regular_numbers"] = list(regular)
-        payload["reports"] = [
-            _regularity_payload(reflgroups.regularity(data, d)) for d in regular
-        ]
+        reports = _regular_reports(data)
+        payload["regular_numbers"] = [rep.d for rep in reports]
+        payload["reports"] = [_regularity_payload(rep) for rep in reports]
     _emit(payload)
     return 0
 
@@ -272,13 +261,7 @@ def _cmd_typeb(args: argparse.Namespace, budget: int) -> int:
         g = build_garside(p, budget)
         report = typeb.check_epsilon(g, args.n)
         payload["simple_count"] = len(g.simples)
-        payload["epsilon_check"] = {
-            "epsilon": report["epsilon"],
-            "epsilon_power_is_delta": report["epsilon_power_is_delta"],
-            "delta_central": report["delta_central"],
-            "phi_order": report["phi_order"],
-            "syntactic_b1": report["syntactic_b1"],
-        }
+        payload["epsilon_check"] = report
         failed = not (
             report["epsilon_power_is_delta"] and report["delta_central"]
         )

@@ -67,8 +67,6 @@ def divided_set(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    if n == 0:
-        return decompositions(g, m)
     return _walk(g, m, n)
 
 
@@ -344,8 +342,6 @@ def collapse(c: DividedCategory, path: Path) -> NormalForm:
 
 @dataclass
 class VertexGroupPresentation:
-    category: DividedCategory
-    base: int
     tree_edges: list[int]
     loop_edges: list[int]  # non-tree morphism ids, one loop generator each
     loop_paths: list[Path]  # base -> base conjugated loops
@@ -422,7 +418,7 @@ def vertex_group(c: DividedCategory, base: int) -> VertexGroupPresentation:
         word = letters(lhs) + [-x for x in reversed(letters(rhs))]
         relators.append(_free_reduce(word))
     images = [collapse(c, path) for path in loop_paths]
-    return VertexGroupPresentation(c, base, tree, loop_edges, loop_paths, relators, images)
+    return VertexGroupPresentation(tree, loop_edges, loop_paths, relators, images)
 
 
 @dataclass

@@ -343,8 +343,11 @@ def _bound_table(g: GarsideStructure, masks: list[int]) -> list[list[int]]:
     Divisibility is reflexive, transitive and antisymmetric, so the gcd of
     a and b, when it exists, is the one simple whose divisor mask equals
     masks[a] & masks[b]: each entry is one dict lookup.  A pair whose mask
-    no simple owns fails the lattice axiom; its witness counts the common
-    divisors w that every other one divides.
+    no simple owns fails the lattice axiom, and its witness reports 0
+    candidates, always: a common divisor w that every other one divides
+    would have masks[w] ⊇ common, and w ∈ common, so every v ∈ masks[w]
+    divides w, which divides a and b, so v ∈ common; then masks[w] = common,
+    and w would own the mask.
     """
     owner = {m: w for w, m in enumerate(masks)}.get
     table = []
@@ -354,15 +357,11 @@ def _bound_table(g: GarsideStructure, masks: list[int]) -> list[list[int]]:
             # Rows above a had no gap, and the table is symmetric, so the
             # first gap of this row is the first failing pair with a <= b.
             b = row.index(None)
-            common = mask_a & masks[b]
-            winners = sum(
-                1 for w, m in enumerate(masks) if common >> w & 1 and common & ~m == 0
-            )
             raise AxiomViolation(
                 "lattice",
                 [
                     f"gcd (left) of {g.render_simple(a)} and {g.render_simple(b)} "
-                    f"has {winners} candidates"
+                    "has 0 candidates"
                 ],
             )
         table.append(row)

@@ -34,14 +34,17 @@ def reduce_exponents(p: int, q: int) -> tuple[int, int]:
 
 
 def bezout_pair(p: int, q: int) -> tuple[int, int]:
-    """Smallest u >= 0 with v <= 0 and p*u + q*v = 1."""
+    """Smallest u >= 0 with v <= 0 and p*u + q*v = 1.
+
+    That u is p^-1 mod q, except for q = 1, where u = 0 gives v = 1 and the
+    next u = 1 gives v = 1 - p <= 0.
+    """
+    if p < 1 or q < 1:
+        raise PeriodicityError(f"exponents must be positive, got ({p}, {q})")
     if math.gcd(p, q) != 1:
         raise PeriodicityError(f"({p}, {q}) are not coprime")
-    for u in range(q + 1):
-        v, rem = divmod(1 - p * u, q)
-        if rem == 0 and v <= 0:
-            return u, v
-    raise PeriodicityError(f"no Bezout pair for ({p}, {q})")
+    u = pow(p, -1, q) or q
+    return u, (1 - p * u) // q
 
 
 def bezout_root(

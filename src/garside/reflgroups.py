@@ -181,6 +181,14 @@ def center_order(data: GroupData) -> int:
     return math.gcd(*data.degrees)
 
 
+def _divisible(data: GroupData, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The degrees and the codegrees divisible by d, in sorted order."""
+    return (
+        tuple(x for x in data.degrees if x % d == 0),
+        tuple(x for x in data.codegrees if x % d == 0),
+    )
+
+
 def regularity(data: GroupData, d: int) -> RegularityReport:
     """Decide whether d is a regular number for the group.
 
@@ -192,35 +200,21 @@ def regularity(data: GroupData, d: int) -> RegularityReport:
     """
     if d < 1:
         raise GarsideError(f"regularity is defined for positive d, got {d}")
-    a = tuple(x for x in data.degrees if x % d == 0)
-    b = tuple(x for x in data.codegrees if x % d == 0)
-    regular = len(a) == len(b)
-    if not regular:
+    a, b = _divisible(data, d)
+    if len(a) != len(b):
         return RegularityReport(d, a, b, False, None, None, None)
-    fundamental = math.gcd(*(a + b))
-    bound = max(data.degrees + data.codegrees)
-    members = []
-    for e in range(1, bound + 1):
-        ea = tuple(x for x in data.degrees if x % e == 0)
-        eb = tuple(x for x in data.codegrees if x % e == 0)
-        if ea == a and eb == b and len(ea) == len(eb):
-            members.append(e)
-    minimum = None
-    for e in members:
-        if all(other % e == 0 for other in members):
-            minimum = e
-            break
-    return RegularityReport(
-        d, a, b, True, fundamental, tuple(members), minimum
+    members = tuple(e for e in regular_numbers(data) if _divisible(data, e) == (a, b))
+    minimum = next(
+        (e for e in members if all(other % e == 0 for other in members)), None
     )
+    return RegularityReport(d, a, b, True, math.gcd(*(a + b)), members, minimum)
 
 
 def regular_numbers(data: GroupData) -> tuple[int, ...]:
     """All regular d up to the largest degree or codegree."""
     bound = max(data.degrees + data.codegrees)
-    return tuple(
-        d for d in range(1, bound + 1) if regularity(data, d).regular
-    )
+    filters = ((d, *_divisible(data, d)) for d in range(1, bound + 1))
+    return tuple(d for d, a, b in filters if len(a) == len(b))
 
 
 def _series_universe(max_de: int, max_n: int) -> list[tuple[int, int, int]]:
@@ -260,8 +254,6 @@ def isodiscriminantal_pairs(
         by_key.setdefault((data.degrees, data.codegrees), []).append(data)
     pairs = []
     for (degrees, codegrees), members in by_key.items():
-        if len(members) < 2:
-            continue
         for left, right in itertools.combinations(members, 2):
             pairs.append(IsoPair(left.name, right.name, degrees, codegrees))
     pairs.sort(key=lambda p: (p.degrees, p.codegrees, p.first, p.second))

@@ -86,7 +86,6 @@ def check_epsilon(g: GarsideStructure, n: int) -> dict:
             {lhs, rhs} == {doubled, p.delta_word} for lhs, rhs in p.relations
         )
     return {
-        "n": n,
         "epsilon": p.render(eps),
         "epsilon_power_is_delta": power == delta_nf == NormalForm(1, ()),
         "delta_central": g.is_central(delta_nf),

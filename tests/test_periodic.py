@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from garside.errors import PeriodicityError
@@ -124,3 +126,28 @@ def test_roots_report_empty_case(g12):
     assert not report.exists
     assert report.object_count == 0
     assert report.centralizer is None
+
+
+def _searched_bezout_pair(p: int, q: int) -> tuple[int, int]:
+    # The search bezout_pair replaced: smallest u >= 0 with v <= 0.
+    for u in range(q + 1):
+        v, rem = divmod(1 - p * u, q)
+        if rem == 0 and v <= 0:
+            return u, v
+    raise AssertionError(f"no Bezout pair for ({p}, {q})")
+
+
+def test_bezout_pair_matches_search():
+    pairs = [
+        (p, q) for p in range(1, 61) for q in range(1, 61) if math.gcd(p, q) == 1
+    ]
+    assert len(pairs) == 2203
+    for p, q in pairs:
+        assert bezout_pair(p, q) == _searched_bezout_pair(p, q), (p, q)
+
+
+@pytest.mark.parametrize("p, q", [(1, 0), (0, 1), (2, -1), (-1, 2), (0, 0)])
+def test_bezout_pair_needs_positive_exponents(p, q):
+    message = rf"^exponents must be positive, got \({p}, {q}\)$"
+    with pytest.raises(PeriodicityError, match=message):
+        bezout_pair(p, q)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import reflgroups_reference
 
 from garside.errors import GarsideError, UnknownGroup
 from garside.reflgroups import (
@@ -173,3 +174,22 @@ def test_isodiscriminantal_pairs_smaller_universe():
     assert [(p.first, p.second) for p in pairs] == PAIRS[:10]
     pairs = isodiscriminantal_pairs(max_de=6, max_n=4)
     assert [(p.first, p.second) for p in pairs] == PAIRS[:5]
+
+
+def test_regularity_matches_reference():
+    # Every exceptional group and every G(de, e, n) with de <= 24 and n <= 5,
+    # rank one included; G(1,1,1) and G(e,e,1) have no reflections.
+    groups = list(exceptional_table().values()) + [
+        series_data(de, e, n)
+        for de in range(1, 25)
+        for e in range(1, de + 1)
+        for n in range(1, 6)
+        if de % e == 0 and (n > 1 or de != e)
+    ]
+    assert len(groups) == 430
+    for data in groups:
+        expected = reflgroups_reference.regular_numbers(data)
+        assert regular_numbers(data) == expected, data.name
+        for d in range(1, max(data.degrees + data.codegrees) + 3):
+            expected = reflgroups_reference.regularity(data, d)
+            assert regularity(data, d) == expected, (data.name, d)

@@ -22,7 +22,7 @@ from garside.periodic import candidate_root_orders, reduce_exponents
 
 
 def presentation(generators: int, relators: list[list[int]]) -> VertexGroupPresentation:
-    return VertexGroupPresentation(None, 0, [], list(range(generators)), [], relators, [])
+    return VertexGroupPresentation([], list(range(generators)), [], relators, [])
 
 
 def same(a: SimplifiedPresentation, b: SimplifiedPresentation) -> bool:
