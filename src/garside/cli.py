@@ -118,6 +118,8 @@ def _render_dot(cat: divided.DividedCategory) -> str:
 
 
 def _cmd_divided(args: argparse.Namespace, budget: int) -> int:
+    if args.p < 1 or args.q < 0:
+        raise GarsideError("need p >= 1 and q >= 0")
     g = bundled.get_structure(args.source, budget)
     cat = divided.build_category(g, args.p, args.q)
     if args.dot:
@@ -170,9 +172,9 @@ def _centralizer_payload(
 
 
 def _cmd_roots(args: argparse.Namespace, budget: int) -> int:
-    g = bundled.get_structure(args.source, budget)
     if args.d < 1 or args.zp < 1:
         raise GarsideError(f"exponents must be positive, got ({args.d}, {args.zp})")
+    g = bundled.get_structure(args.source, budget)
     report = periodic.roots_report(g, args.zp, args.d, with_centralizer=args.centralizer)
     _emit(
         {

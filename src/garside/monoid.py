@@ -3,12 +3,16 @@
 A structure is built from a homogeneous presentation with a designated
 Garside word Delta.  Simples are the congruence classes of prefixes of
 words in Delta's class, so the build asks the lazy congruence oracle only
-about Delta's class and the classes of its prefixes and suffixes.  Every
-word of every simple is then looked up in one dictionary, and that
-dictionary fills the n x n two-simple product table: entry [a][b] is the
-simple a.b, or None when a.b is not simple.  The residual, division and
-gcd tables, the left-weighted product splitting and the automorphism phi
-all read their products from that table.
+about Delta's class and the classes of its prefixes and suffixes.  Once
+the prefix classes equal the suffix classes, every word the oracle has
+closed is a word of some simple, so one pass over the oracle gives a
+dictionary from every such word to its simple.  That dictionary fills the
+n x n two-simple product table: entry [a][b] is the simple a.b, or None
+when a.b is not simple.  The residual, division and gcd tables, the
+left-weighted product splitting and the automorphism phi all read their
+products from that table.  The oracle and the word dictionary are locals
+of the build: the structure keeps one word per simple (its lex-least) and
+the tables, and nothing after the build looks a word up.
 
 The build checks only the axioms that can reject an input, and raises
 AxiomViolation with rendered witnesses at the first that fails:
@@ -84,11 +88,9 @@ class GarsideStructure:
     all public methods are pure reads.
     """
 
-    def __init__(self, presentation: Presentation, oracle: CongruenceTable):
+    def __init__(self, presentation: Presentation):
         self.presentation = presentation
-        self.oracle = oracle
-        self.simples: tuple[Word, ...] = ()
-        self.word_simple: dict[Word, int] = {}  # every word of a simple -> id
+        self.simples: tuple[Word, ...] = ()  # lex-least word of each simple
         self.identity = 0
         self.delta = 0
         self.atoms: tuple[int, ...] = ()
@@ -121,10 +123,6 @@ class GarsideStructure:
     @property
     def delta_length(self) -> int:
         return len(self.presentation.delta_word)
-
-    def simple_of_word(self, word: Word) -> int | None:
-        """Simple id of a positive word, or None when it is not a divisor."""
-        return self.word_simple.get(word)
 
     def simple_product(self, a: int, b: int) -> int | None:
         """Product of two simples when it is again simple, else None."""
@@ -278,26 +276,29 @@ class GarsideStructure:
         return True
 
 
-def _divisor_classes(g: GarsideStructure) -> tuple[set[Word], set[Word]]:
+def _divisor_classes(
+    oracle: CongruenceTable, delta_word: Word
+) -> tuple[set[Word], set[Word]]:
     """Classes of the prefixes and of the suffixes of Delta's words."""
-    oracle = g.oracle
     prefixes: set[Word] = set()
     suffixes: set[Word] = set()
-    for w in oracle.class_members(g.presentation.delta_word):
+    for w in oracle.class_members(delta_word):
         for k in range(len(w) + 1):
             prefixes.add(oracle.rep(w[:k]))
             suffixes.add(oracle.rep(w[k:]))
     return prefixes, suffixes
 
 
-def _product_table(g: GarsideStructure) -> list[list[int | None]]:
+def _product_table(
+    simples: tuple[Word, ...], word_map: dict[Word, int]
+) -> list[list[int | None]]:
     """[a][b] = the simple a * b, or None when it is not simple.
 
-    A word of a followed by a word of b is a word of a * b, and word_simple
+    A word of a followed by a word of b is a word of a * b, and word_map
     holds every word of every simple, so one lookup per pair decides it.
     """
-    lookup = g.word_simple.get
-    return [[lookup(u + v) for v in g.simples] for u in g.simples]
+    lookup = word_map.get
+    return [[lookup(u + v) for v in simples] for u in simples]
 
 
 def _build_residuals(g: GarsideStructure) -> tuple[list[list[int | None]], list[int]]:
@@ -375,10 +376,10 @@ def build_garside(
     if not p.delta_word:
         raise GarsideError("delta word must be non-empty")
     oracle = congruence_classes(p, len(p.delta_word), budget)
-    g = GarsideStructure(p, oracle)
+    g = GarsideStructure(p)
 
     # Simples and balancedness.
-    prefixes, suffixes = _divisor_classes(g)
+    prefixes, suffixes = _divisor_classes(oracle, p.delta_word)
     if prefixes != suffixes:
         witnesses = [
             f"{p.render(w)} ({'left' if w in prefixes else 'right'} divisor only)"
@@ -386,13 +387,14 @@ def build_garside(
         ]
         raise AxiomViolation("balanced", witnesses)
     g.simples = tuple(sorted(prefixes, key=lambda w: (len(w), w)))
-    g.word_simple = {
-        w: i for i, simple in enumerate(g.simples) for w in oracle.class_members(simple)
-    }
-    g.delta = g.word_simple[p.delta_word]
+    # The oracle closed only Delta's class and its prefix and suffix classes,
+    # which are now all simples: every closed word belongs to a simple.
+    simple_id = {w: i for i, w in enumerate(g.simples)}
+    word_map = {w: simple_id[rep] for w, rep in oracle.reps.items()}
+    g.delta = word_map[p.delta_word]
     atom_ids = []
     for gi, name in enumerate(p.generators):
-        a = g.simple_of_word((gi,))
+        a = word_map.get((gi,))
         if a is None:
             raise AxiomViolation(
                 "balanced", [f"generator {name} does not divide delta"]
@@ -401,7 +403,7 @@ def build_garside(
     g.generator_atoms = tuple(atom_ids)
     g.atoms = tuple(sorted(set(atom_ids)))
     g.atom_mask = sum(1 << a for a in g.atoms)
-    g.product_table = _product_table(g)
+    g.product_table = _product_table(g.simples, word_map)
 
     # The two lattice checks: unique left residuals, then left gcds.
     g.residual_left, g.left_div_mask = _build_residuals(g)

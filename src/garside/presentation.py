@@ -24,7 +24,6 @@ up front, against every stratum up to the table's length bound.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -173,17 +172,8 @@ class CongruenceTable:
         self._members[least] = members
         return least
 
-    def congruent(self, u: Word, v: Word) -> bool:
-        return self.rep(u) == self.rep(v)
-
     def class_members(self, word: Word) -> list[Word]:
         return list(self._members[self.rep(word)])
-
-    def classes(self, length: int) -> list[list[Word]]:
-        """All classes of the given length, sorted by representative."""
-        n = len(self.presentation.generators)
-        reps = {self.rep(w) for w in itertools.product(range(n), repeat=length)}
-        return [list(self._members[r]) for r in sorted(reps)]
 
 
 def congruence_classes(

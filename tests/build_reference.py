@@ -16,15 +16,17 @@ from garside.errors import AxiomViolation, GarsideError
 from garside.monoid import GarsideStructure, _product_table
 from garside.presentation import (
     DEFAULT_BUDGET,
+    CongruenceTable,
     Presentation,
     Word,
     congruence_classes,
 )
 
 
-def _divisor_classes(g: GarsideStructure, prefixes: bool) -> set[Word]:
-    oracle = g.oracle
-    members = oracle.class_members(g.presentation.delta_word)
+def _divisor_classes(
+    oracle: CongruenceTable, delta_word: Word, prefixes: bool
+) -> set[Word]:
+    members = oracle.class_members(delta_word)
     out: set[Word] = set()
     for w in members:
         for k in range(len(w) + 1):
@@ -122,11 +124,11 @@ def build_garside(
     if not p.delta_word:
         raise GarsideError("delta word must be non-empty")
     oracle = congruence_classes(p, len(p.delta_word), budget)
-    g = GarsideStructure(p, oracle)
+    g = GarsideStructure(p)
 
     # Simples and balancedness.
-    prefixes = _divisor_classes(g, prefixes=True)
-    suffixes = _divisor_classes(g, prefixes=False)
+    prefixes = _divisor_classes(oracle, p.delta_word, prefixes=True)
+    suffixes = _divisor_classes(oracle, p.delta_word, prefixes=False)
     if prefixes != suffixes:
         witnesses = [
             f"{p.render(w)} ({'left' if w in prefixes else 'right'} divisor only)"
@@ -134,13 +136,14 @@ def build_garside(
         ]
         raise AxiomViolation("balanced", witnesses)
     g.simples = tuple(sorted(prefixes, key=lambda w: (len(w), w)))
-    g.word_simple = {
+    # Every word of every simple, copied class by class.
+    word_map = {
         w: i for i, simple in enumerate(g.simples) for w in oracle.class_members(simple)
     }
-    g.delta = g.word_simple[p.delta_word]
+    g.delta = word_map[p.delta_word]
     atom_ids = []
     for gi, name in enumerate(p.generators):
-        a = g.simple_of_word((gi,))
+        a = word_map.get((gi,))
         if a is None:
             raise AxiomViolation(
                 "balanced", [f"generator {name} does not divide delta"]
@@ -149,7 +152,7 @@ def build_garside(
     g.generator_atoms = tuple(atom_ids)
     g.atoms = tuple(sorted(set(atom_ids)))
     g.atom_mask = sum(1 << a for a in g.atoms)
-    g.product_table = _product_table(g)
+    g.product_table = _product_table(g.simples, word_map)
 
     # Residuals, divisibility masks, lattice tables.  All four lattice tables
     # are checked for the lattice axiom; only the left gcd table is kept, as a

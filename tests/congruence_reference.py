@@ -4,12 +4,18 @@ The original eager implementation: every word of every length up to the
 bound is enumerated, and words connected by a single-relation rewrite are
 merged with a union-find rooted at the lexicographically least member.
 The original residual tables scanned the oracle for every (a, b, c).
+
+`strata` closes whole strata of a lazy oracle by enumerating every word,
+and `word_lookup` maps a word to the simple of a built structure through a
+fresh lazy oracle: the structure itself keeps no words beyond its simples.
 """
 
 import itertools
+from collections.abc import Callable
+from functools import lru_cache
 
 from garside.monoid import GarsideStructure
-from garside.presentation import Presentation, Word
+from garside.presentation import CongruenceTable, Presentation, Word
 
 
 class ReferenceTable:
@@ -86,3 +92,29 @@ def residuals(
             if matches:
                 out[a][b] = matches[0]
     return out
+
+
+def strata(table: CongruenceTable, length: int) -> list[list[Word]]:
+    """All classes of one length, sorted by representative, closed by
+    enumerating every word of that length."""
+    n = len(table.presentation.generators)
+    reps = {table.rep(w) for w in itertools.product(range(n), repeat=length)}
+    return [table.class_members(r) for r in sorted(reps)]
+
+
+@lru_cache(maxsize=8)
+def word_lookup(g: GarsideStructure) -> Callable[[Word], int | None]:
+    """Simple id of a positive word in g, or None when it is not simple.
+
+    Each simple is stored as its lex-least word, which is the oracle's
+    representative of its class.
+    """
+    oracle = CongruenceTable(g.presentation, g.delta_length)
+    simple_id = {w: i for i, w in enumerate(g.simples)}
+
+    def lookup(word: Word) -> int | None:
+        if len(word) > g.delta_length:
+            return None
+        return simple_id.get(oracle.rep(word))
+
+    return lookup

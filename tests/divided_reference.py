@@ -26,6 +26,7 @@ from garside.divided import (
     divided_set as _divided_set,
     twisted_shift,
 )
+from congruence_reference import word_lookup
 from garside.monoid import GarsideStructure
 
 
@@ -93,14 +94,14 @@ def divided_set(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
                     entries[j] = g.phi_simple(entries[i], -((i + n) // m))
                     i = j
             word = sum((g.simples[a] for a in entries), ())
-            if g.simple_of_word(word) == g.delta:
+            if word_lookup(g)(word) == g.delta:
                 out.append(tuple(entries))
     out.sort()
     return out
 
 
 def _word_product(g: GarsideStructure, a: int, b: int) -> int | None:
-    return g.simple_of_word(g.simples[a] + g.simples[b])
+    return word_lookup(g)(g.simples[a] + g.simples[b])
 
 
 def _is_identity_tuple(t: tuple[int, ...]) -> bool:

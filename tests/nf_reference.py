@@ -2,9 +2,8 @@
 
 The original implementation: bubble passes over adjacent pairs until none
 changes, a signed word multiplied letter by letter with each inverse built
-as a product of twisted complements, and atoms looked up through the
-congruence oracle.  It is cubic in the word length, so tests run it on
-short words only.
+as a product of twisted complements.  It is cubic in the word length, so
+tests run it on short words only.
 """
 
 from garside.monoid import IDENTITY_NF, GarsideStructure, NormalForm
@@ -69,9 +68,7 @@ def normal_form_simples(g: GarsideStructure, letters: list[tuple[int, int]]) -> 
 
 
 def atom(g: GarsideStructure, gi: int) -> int:
-    a = g.simple_of_word((gi,))
-    assert a is not None
-    return a
+    return g.generator_atoms[gi]
 
 
 def normal_form(g: GarsideStructure, word) -> NormalForm:

@@ -404,6 +404,19 @@ def test_verify_gcd_witness_report(capsys, tmp_path, text, witness):
             2,
             "exponents must be positive, got (2, 0)",
         ),
+        # The arguments are checked before a budget too small to build g12.
+        (
+            ["divided", "g12", "-p", "0", "-q", "1", "--budget", "1"],
+            {},
+            2,
+            "need p >= 1 and q >= 0",
+        ),
+        (
+            ["roots", "g12", "--zp", "0", "-d", "2", "--budget", "1"],
+            {},
+            2,
+            "exponents must be positive, got (2, 0)",
+        ),
     ],
 )
 def test_error_exit_codes(capsys, tmp_path, argv, files, code, message):

@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import build_reference
+from congruence_reference import word_lookup
+from garside import bundled
 from garside.errors import AxiomViolation
 from garside.monoid import (
     IDENTITY_NF,
@@ -11,7 +13,11 @@ from garside.monoid import (
     build_garside,
     verify_presentation,
 )
-from garside.presentation import congruence_classes, parse_presentation
+from garside.presentation import (
+    CongruenceTable,
+    congruence_classes,
+    parse_presentation,
+)
 from garside.typeb import typeb_presentation
 
 
@@ -77,7 +83,7 @@ def test_phi_twist_matches_oracle(g12):
     delta_word = p.delta_word
     for i, word in enumerate(g12.simples):
         twisted = g12.simples[g12.phi_simple(i)]
-        assert table.congruent(word + delta_word, delta_word + twisted)
+        assert table.rep(word + delta_word) == table.rep(delta_word + twisted)
 
 
 def test_phi_twist_matches_oracle_typeb(b2):
@@ -85,7 +91,7 @@ def test_phi_twist_matches_oracle_typeb(b2):
     table = congruence_classes(p, 2 * b2.delta_length)
     for i, word in enumerate(b2.simples):
         twisted = b2.simples[b2.phi_simple(i)]
-        assert table.congruent(word + p.delta_word, p.delta_word + twisted)
+        assert table.rep(word + p.delta_word) == table.rep(p.delta_word + twisted)
 
 
 def test_lattice_operations(g12, g13, b2, b3):
@@ -142,12 +148,21 @@ def any_structure(request):
 
 def test_product_table_matches_word_lookup(any_structure):
     g = any_structure
+    lookup = word_lookup(g)
     n = len(g.simples)
     for a in range(n):
         for b in range(n):
-            assert g.simple_product(a, b) == g.simple_of_word(
-                g.simples[a] + g.simples[b]
-            ), (a, b)
+            assert g.simple_product(a, b) == lookup(g.simples[a] + g.simples[b]), (a, b)
+
+
+@pytest.mark.parametrize("name", bundled.BUNDLED_NAMES)
+def test_structure_keeps_no_words(name):
+    # The oracle and the word -> simple map are locals of the build; the
+    # structure keeps one word per simple and its tables.
+    for value in vars(bundled.get_structure(name)).values():
+        assert not isinstance(value, CongruenceTable)
+        if isinstance(value, dict):
+            assert not any(isinstance(key, tuple) for key in value)
 
 
 def test_left_weighted_mask_matches_atom_loop(any_structure):
