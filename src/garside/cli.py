@@ -15,8 +15,8 @@ Reports are JSON on stdout with a ``schema`` field and deterministic
 ordering; diagnostics go to stderr.  Exit status: 0 when every check
 passes, 1 when a verification claim fails, 2 for input or environment
 problems (unreadable source, bad arguments, enumeration budget).  The
-per-stratum enumeration budget honours ``--budget`` first, then the
-``GARSIDE_ENUM_BUDGET`` environment variable, then the built-in default.
+enumeration budget is set by ``--budget`` alone; it caps each word stratum
+of a structure's build and each divided set enumerated over it.
 
 Word arguments use the ``.gar`` token syntax, whitespace-separated, with
 an optional ``^-1`` suffix per letter for inverses.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -41,26 +40,6 @@ from .errors import (
 )
 from .monoid import GarsideStructure, NormalForm, build_garside, verify_presentation
 from .presentation import DEFAULT_BUDGET, Presentation
-
-ENV_BUDGET = "GARSIDE_ENUM_BUDGET"
-
-
-def _resolve_budget(value: int | None) -> int:
-    if value is not None:
-        if value < 1:
-            raise GarsideError(f"budget must be positive, got {value}")
-        return value
-    raw = os.environ.get(ENV_BUDGET)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        parsed = int(raw)
-    except ValueError:
-        raise GarsideError(f"{ENV_BUDGET} must be an integer, got {raw!r}") from None
-    if parsed < 1:
-        raise GarsideError(f"{ENV_BUDGET} must be positive, got {parsed}")
-    return parsed
-
 
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2)
@@ -181,13 +160,7 @@ def _cmd_roots(args: argparse.Namespace, budget: int) -> int:
             "schema": 1,
             "source": args.source,
             "zp_power": args.zp,
-            "d": report.d,
-            "p_reduced": report.p_reduced,
-            "q_reduced": report.q_reduced,
-            "object_count": report.object_count,
-            "morphism_count": report.morphism_count,
-            "component_count": report.component_count,
-            "exists": report.exists,
+            **vars(report),
             "centralizer": _centralizer_payload(g, report.centralizer),
         }
     )
@@ -235,15 +208,7 @@ def _cmd_pairs(args: argparse.Namespace, budget: int) -> int:
             "max_de": args.max_de,
             "max_n": args.max_n,
             "count": len(pairs),
-            "pairs": [
-                {
-                    "first": p.first,
-                    "second": p.second,
-                    "degrees": list(p.degrees),
-                    "codegrees": list(p.codegrees),
-                }
-                for p in pairs
-            ],
+            "pairs": [vars(p) for p in pairs],
         }
     )
     return 0
@@ -821,9 +786,9 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--budget",
         type=int,
-        default=None,
-        help="per-stratum enumeration cap (default from "
-        f"{ENV_BUDGET} or {DEFAULT_BUDGET})",
+        default=DEFAULT_BUDGET,
+        help="cap on the words of each stratum of a build and on the tuples "
+        f"of each divided set (default {DEFAULT_BUDGET})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -906,8 +871,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        budget = _resolve_budget(args.budget)
-        return args.handler(args, budget)
+        if args.budget < 1:
+            raise GarsideError(f"budget must be positive, got {args.budget}")
+        return args.handler(args, args.budget)
     except (AxiomViolation, PeriodicityError, NonComposablePath) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

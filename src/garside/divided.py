@@ -11,8 +11,10 @@ id, among the phi^(n/c)-fixed left divisors of the part of Delta still left
 (the running residual) whose length fits the free length still left, then
 checks the determined entries against the residual one at a time and keeps
 the tuple when the residual reaches 1.  Its work follows the tuples kept and
-the prefixes cut, not the number of length combinations.  With n = 0 every
-entry is free and the walk lists all decompositions of Delta.
+the prefixes cut, not the number of length combinations.  It raises
+BudgetExceeded once it has kept more tuples than the budget the structure
+was built under.  With n = 0 every entry is free and the walk lists all
+decompositions of Delta.
 
 C_p^q has objects D_p^q, generating morphisms D_2p^2q, and relations induced
 by D_3p^3q (each 3p-tuple yields a composable triple f;g = h).  A morphism's
@@ -40,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import GarsideError, NonComposablePath
+from .errors import BudgetExceeded, GarsideError, NonComposablePath
 from .monoid import GarsideStructure, NormalForm
 
 Path = list[tuple[int, int]]  # (morphism id, +1 forward / -1 backward)
@@ -62,8 +64,9 @@ def divided_set(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
 
     The walk chooses the first gcd(m, n) entries among phi^(n/gcd)-fixed left
     divisors of the running residual of Delta, then checks the entries they
-    determine.  D_m^0 is decompositions(g, m).  A set whose gcd(m, n) nested
-    choices pass the recursion limit raises GarsideError.
+    determine.  D_m^0 is decompositions(g, m).  A set with more tuples than
+    g.budget raises BudgetExceeded, and one whose gcd(m, n) nested choices
+    pass the recursion limit raises GarsideError.
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
@@ -141,6 +144,10 @@ def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
                 # Nothing follows, so the last entry is the residual itself;
                 # phi^(n/cycles) fixes it, as it fixes Delta and the others.
                 out.append(tuple(entries) + (x,))
+            if len(out) > g.budget:
+                raise BudgetExceeded(
+                    f"D_{m}^{n} has at least {len(out)} tuples", g.budget
+                )
             return
         mask = fits[x]
         while mask:

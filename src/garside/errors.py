@@ -26,20 +26,11 @@ class InhomogeneousPresentation(GarsideError):
 
 
 class BudgetExceeded(GarsideError):
-    """An enumeration stratum is larger than the configured word budget, or
-    a word is longer than a congruence table's length bound."""
+    """An enumeration went past the budget; `what` says how far it got."""
 
-    def __init__(
-        self, length: int, count: int, budget: int, message: str | None = None
-    ) -> None:
-        self.length = length
-        self.count = count
+    def __init__(self, what: str, budget: int) -> None:
         self.budget = budget
-        super().__init__(
-            message
-            or f"stratum of length {length} has {count} words, "
-            f"over the budget of {budget}"
-        )
+        super().__init__(f"{what}, over the budget of {budget}")
 
 
 class AxiomViolation(GarsideError):

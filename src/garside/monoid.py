@@ -12,7 +12,9 @@ when a.b is not simple.  The residual, division and gcd tables, the
 left-weighted product splitting and the automorphism phi all read their
 products from that table.  The oracle and the word dictionary are locals
 of the build: the structure keeps one word per simple (its lex-least) and
-the tables, and nothing after the build looks a word up.
+the tables, and nothing after the build looks a word up.  It also keeps
+the enumeration budget it was built under, which caps the divided sets
+enumerated over it (garside.divided).
 
 The build checks only the axioms that can reject an input, and raises
 AxiomViolation with rendered witnesses at the first that fails:
@@ -88,8 +90,9 @@ class GarsideStructure:
     all public methods are pure reads.
     """
 
-    def __init__(self, presentation: Presentation):
+    def __init__(self, presentation: Presentation, budget: int):
         self.presentation = presentation
+        self.budget = budget  # the enumeration cap it was built under
         self.simples: tuple[Word, ...] = ()  # lex-least word of each simple
         self.identity = 0
         self.delta = 0
@@ -376,7 +379,7 @@ def build_garside(
     if not p.delta_word:
         raise GarsideError("delta word must be non-empty")
     oracle = congruence_classes(p, len(p.delta_word), budget)
-    g = GarsideStructure(p)
+    g = GarsideStructure(p, budget)
 
     # Simples and balancedness.
     prefixes, suffixes = _divisor_classes(oracle, p.delta_word)

@@ -19,7 +19,8 @@ first lookup of a word finds that component by a depth-first search and
 memoises it for every member.  The canonical representative of a class is
 its lexicographically least word (in declared generator order), which makes
 every downstream table deterministic.  The per-stratum budget is checked
-up front, against every stratum up to the table's length bound.
+up front, by congruence_classes, against every stratum up to the length it
+is given.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def require_homogeneous(p: Presentation) -> None:
 
 @dataclass
 class CongruenceTable:
-    """Canonical representatives for words of length <= max_length.
+    """Canonical representatives of positive words.
 
     Two words are congruent iff they share a representative.  Classes are
     closed on first use; reps maps every word closed so far to the
@@ -129,7 +130,6 @@ class CongruenceTable:
     """
 
     presentation: Presentation
-    max_length: int
     reps: dict[Word, Word] = field(default_factory=dict, init=False)
     _members: dict[Word, tuple[Word, ...]] = field(
         default_factory=dict, init=False, repr=False
@@ -141,14 +141,6 @@ class CongruenceTable:
         self._rules = relations + tuple((rhs, lhs) for lhs, rhs in relations)
 
     def rep(self, word: Word) -> Word:
-        if len(word) > self.max_length:
-            raise BudgetExceeded(
-                len(word),
-                len(word),
-                self.max_length,
-                f"word of length {len(word)} is longer than the table's bound "
-                f"of {self.max_length}",
-            )
         found = self.reps.get(word)
         return self._close(word) if found is None else found
 
@@ -179,14 +171,17 @@ class CongruenceTable:
 def congruence_classes(
     p: Presentation, max_length: int, budget: int = DEFAULT_BUDGET
 ) -> CongruenceTable:
-    """Congruence oracle for words up to max_length, closed lazily.
+    """Congruence oracle, closed lazily, for a build on words up to max_length.
 
-    Raises BudgetExceeded for the first stratum with more than budget words.
+    Raises BudgetExceeded for the first stratum up to max_length with more
+    than budget words.
     """
     require_homogeneous(p)
     n = len(p.generators)
     for length in range(1, max_length + 1):
         count = n**length
         if count > budget:
-            raise BudgetExceeded(length, count, budget)
-    return CongruenceTable(p, max_length)
+            raise BudgetExceeded(
+                f"stratum of length {length} has {count} words", budget
+            )
+    return CongruenceTable(p)

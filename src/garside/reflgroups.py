@@ -211,9 +211,17 @@ def regularity(data: GroupData, d: int) -> RegularityReport:
 
 
 def regular_numbers(data: GroupData) -> tuple[int, ...]:
-    """All regular d up to the largest degree or codegree."""
-    bound = max(data.degrees + data.codegrees)
-    filters = ((d, *_divisible(data, d)) for d in range(1, bound + 1))
+    """All regular d, in ascending order.
+
+    The codegree 0 is divisible by every d, so a regular d divides at least
+    one degree: the candidates are the divisors of the degrees.
+    """
+    candidates = set()
+    for degree in set(data.degrees):
+        for k in range(1, math.isqrt(degree) + 1):
+            if degree % k == 0:
+                candidates.update((k, degree // k))
+    filters = ((d, *_divisible(data, d)) for d in sorted(candidates))
     return tuple(d for d, a, b in filters if len(a) == len(b))
 
 

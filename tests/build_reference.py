@@ -124,7 +124,7 @@ def build_garside(
     if not p.delta_word:
         raise GarsideError("delta word must be non-empty")
     oracle = congruence_classes(p, len(p.delta_word), budget)
-    g = GarsideStructure(p)
+    g = GarsideStructure(p, budget)
 
     # Simples and balancedness.
     prefixes = _divisor_classes(oracle, p.delta_word, prefixes=True)

@@ -109,7 +109,7 @@ def word_lookup(g: GarsideStructure) -> Callable[[Word], int | None]:
     Each simple is stored as its lex-least word, which is the oracle's
     representative of its class.
     """
-    oracle = CongruenceTable(g.presentation, g.delta_length)
+    oracle = CongruenceTable(g.presentation)
     simple_id = {w: i for i, w in enumerate(g.simples)}
 
     def lookup(word: Word) -> int | None:

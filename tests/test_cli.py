@@ -277,20 +277,10 @@ def test_budget_flag_too_small(capsys):
     assert "budget" in err
 
 
-def test_budget_env_var(capsys, monkeypatch):
+def test_budget_env_var_is_ignored(capsys, monkeypatch):
+    # The budget is set by --budget alone.
     monkeypatch.setenv("GARSIDE_ENUM_BUDGET", "5")
-    rc, _, err = run(capsys, "verify", "g12")
-    assert rc == 2
-    assert "budget" in err
-    monkeypatch.setenv("GARSIDE_ENUM_BUDGET", "not-a-number")
-    rc, _, err = run(capsys, "verify", "g12")
-    assert rc == 2
-    assert "GARSIDE_ENUM_BUDGET" in err
-
-
-def test_budget_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("GARSIDE_ENUM_BUDGET", "5")
-    rc, out, _ = run(capsys, "verify", "g12", "--budget", str(3**10))
+    rc, out, _ = run(capsys, "verify", "g12")
     assert rc == 0
     assert json.loads(out)["simple_count"] == 11
 
@@ -300,6 +290,17 @@ def test_budget_error_names_the_stratum(capsys):
     assert rc == 2
     assert out == ""
     assert err == "error: stratum of length 9 has 19683 words, over the budget of 19682\n"
+
+
+def test_budget_caps_divided_sets(capsys):
+    # C_2^0 walks D_2^0, D_4^0 and D_6^0; the last has 366 tuples.
+    rc, out, _ = run(capsys, "divided", "g12", "-p", "2", "-q", "0", "--budget", "366")
+    assert rc == 0
+    assert len(json.loads(out)["objects"]) == 11
+    rc, out, err = run(capsys, "divided", "g12", "-p", "2", "-q", "0", "--budget", "365")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: D_6^0 has at least 366 tuples, over the budget of 365\n"
 
 
 def test_typeb_rank_one_check_epsilon_passes(capsys):

@@ -7,6 +7,7 @@ import divided_reference
 import pytest
 from congruence_reference import word_lookup
 
+from garside.bundled import get_structure
 from garside.divided import (
     build_category,
     collapse,
@@ -17,7 +18,7 @@ from garside.divided import (
     twisted_shift,
     vertex_group,
 )
-from garside.errors import NonComposablePath
+from garside.errors import BudgetExceeded, NonComposablePath
 from garside.monoid import IDENTITY_NF
 
 
@@ -29,6 +30,19 @@ def test_decompositions_pair_count(g12):
     # Each left divisor of delta pairs with exactly one complement.
     assert len(decompositions(g12, 2)) == len(g12.simples)
     assert decompositions(g12, 1) == [(g12.delta,)]
+
+
+def test_walk_stops_past_the_budget():
+    # D_4^0 of g12 has 97 tuples: a structure built under a budget of 97
+    # lists them all, one built under 96 stops there.
+    assert len(decompositions(get_structure("g12", 97), 4)) == 97
+    small = get_structure("g12", 96)
+    with pytest.raises(
+        BudgetExceeded, match=r"^D_4\^0 has at least 97 tuples, over the budget of 96$"
+    ):
+        decompositions(small, 4)
+    with pytest.raises(BudgetExceeded):
+        divided_set(small, 4, 0)
 
 
 def test_divided_g12_goldens(g12):

@@ -99,20 +99,12 @@ def test_congruence_short_strata(g12):
     assert table.rep(()) == ()
 
 
-def test_congruence_table_rejects_long_words(g12):
-    table = congruence_classes(g12.presentation, 2)
-    with pytest.raises(
-        BudgetExceeded, match=r"^word of length 3 is longer than the table's bound of 2$"
-    ):
-        table.rep((0, 1, 0))
-
-
 def test_congruence_budget():
     p = parse_presentation("gens: a b c\ndelta: a b c\n")
     with pytest.raises(BudgetExceeded) as exc:
         congruence_classes(p, 4, budget=10)
     assert exc.value.budget == 10
-    assert exc.value.count > 10
+    assert str(exc.value) == "stratum of length 3 has 27 words, over the budget of 10"
 
 
 def test_word_from_tokens_reports_all_missing():
