@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the default budget.
 
 The split mirrors the CLI exit-code contract: input problems (bad files,
 unknown groups, enumeration budgets) are user-facing and map to exit code 2,
@@ -7,6 +7,10 @@ Engine bugs raise plain AssertionError and are never caught.
 """
 
 from __future__ import annotations
+
+# Default per-stratum word cap.  Desk-scale inputs (three generators, Delta
+# of length at most nine) stay under it with room to spare.
+DEFAULT_BUDGET = 3**10
 
 
 class GarsideError(Exception):

@@ -113,6 +113,21 @@ class RootReport:
     centralizer: CentralizerSummary | None
 
 
+def _centralizer_payload(
+    g: GarsideStructure, summary: CentralizerSummary | None
+) -> dict | None:
+    if summary is None:
+        return None
+    collapse = summary.generator_collapse
+    return {
+        "generators": summary.generator_count,
+        "relators": summary.relator_count,
+        "cyclic": summary.cyclic,
+        "collapse": None if collapse is None else g.format_normal_form(collapse),
+        "inconclusive": summary.inconclusive,
+    }
+
+
 def roots_report(
     g: GarsideStructure,
     zp_power: int,

@@ -28,15 +28,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, InhomogeneousPresentation, ParseError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InhomogeneousPresentation, ParseError
 
 Word = tuple[int, ...]
 
 TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
-# Default per-stratum word cap.  Desk-scale inputs (three generators, Delta
-# of length at most nine) stay under it with room to spare.
-DEFAULT_BUDGET = 3**10
 
 
 @dataclass(frozen=True)
@@ -107,6 +103,16 @@ def parse_presentation(text: str) -> Presentation:
         for lhs, rhs in raw_relations
     )
     return Presentation(gens, relations, scaffold.word_from_tokens(raw_delta))
+
+
+def _parse_signed_word(p: Presentation, text: str) -> list[tuple[int, int]]:
+    letters = []
+    for token in text.split():
+        name, caret, exponent = token.partition("^")
+        if caret and exponent != "-1":
+            raise ParseError(f"unsupported exponent in {token!r} (only ^-1)")
+        letters.append((p.word_from_tokens([name])[0], -1 if caret else 1))
+    return letters
 
 
 def homogeneity_violations(p: Presentation) -> list[int]:

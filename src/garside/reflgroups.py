@@ -216,6 +216,15 @@ def regular_numbers(data: GroupData) -> tuple[int, ...]:
     The codegree 0 is divisible by every d, so a regular d divides at least
     one degree: the candidates are the divisors of the degrees.
     """
+    return _regular_numbers(data)
+
+
+# `regularity` reads the regular numbers once per regular d, so a report of
+# every regular number would otherwise rescan the divisors of the degrees
+# for each.  The cache sits on a private function: the public one stays a
+# plain function, which tools that wrap a module's functions recognise.
+@lru_cache(maxsize=64)
+def _regular_numbers(data: GroupData) -> tuple[int, ...]:
     candidates = set()
     for degree in set(data.degrees):
         for k in range(1, math.isqrt(degree) + 1):
@@ -223,6 +232,22 @@ def regular_numbers(data: GroupData) -> tuple[int, ...]:
                 candidates.update((k, degree // k))
     filters = ((d, *_divisible(data, d)) for d in sorted(candidates))
     return tuple(d for d, a, b in filters if len(a) == len(b))
+
+
+def _regular_reports(data: GroupData) -> list[RegularityReport]:
+    return [regularity(data, d) for d in regular_numbers(data)]
+
+
+def _regularity_payload(report: RegularityReport) -> dict:
+    return {
+        "d": report.d,
+        "regular": report.regular,
+        "degrees_divisible": list(report.a),
+        "codegrees_divisible": list(report.b),
+        "fundamental": report.fundamental,
+        "class": None if report.r_class is None else list(report.r_class),
+        "class_minimum": report.class_minimum,
+    }
 
 
 def _series_universe(max_de: int, max_n: int) -> list[tuple[int, int, int]]:

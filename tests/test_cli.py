@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import garside
-from garside.cli import main
+from garside.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -141,6 +141,23 @@ def test_nf_long_signed_word_finishes():
     assert done.returncode == 0, done.stderr
     exponent_sum = sum(-1 if t.endswith("^-1") else 1 for t in tokens)
     assert json.loads(done.stdout)["canonical_length"] == exponent_sum
+
+
+def test_emit_writes_nothing_when_serialisation_fails(capsys):
+    # CPython (3.10.7 and later) caps int-to-str conversion at 4300 digits.
+    with pytest.raises(ValueError):
+        _emit({"x": 10**5000})
+    assert capsys.readouterr().out == ""
+
+
+def test_regular_with_an_unprintable_order_emits_no_report(capsys):
+    # The order of G(2,1,1500) has 4567 digits, past the conversion limit;
+    # the rest of the message differs across Python versions.
+    rc, out, err = run(capsys, "regular", "G(2,1,1500)")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: Exceeds the limit")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
