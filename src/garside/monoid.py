@@ -8,10 +8,11 @@ the prefix classes equal the suffix classes, every word the oracle has
 closed is a word of some simple, so one pass over the oracle gives a
 dictionary from every such word to its simple.  That dictionary fills the
 n x n two-simple product table: entry [a][b] is the simple a.b, or None
-when a.b is not simple.  The residual, division and gcd tables, the
-left-weighted product splitting and the automorphism phi all read their
-products from that table.  The oracle and the word dictionary are locals
-of the build: the structure keeps one word per simple (its lex-least) and
+when a.b is not simple.  The residual and gcd tables and the automorphism
+phi read their products from that table, and the gcd table, its rows
+permuted by the left complement, is the splitting table that normal
+forms and left-weightedness read.  The oracle and the word dictionary are locals of
+the build: the structure keeps one word per simple (its lex-least) and
 the tables, and nothing after the build looks a word up.  It also keeps
 the enumeration budget it was built under, which caps the divided sets
 enumerated over it (garside.divided).
@@ -42,7 +43,10 @@ does not check it.  Write ∂a for the left complement, a.∂a = Delta.
 - phi a permutation fixing 1 and Delta, preserving atoms: phi = ∂^2 is a
   bijection and keeps length.
 - Left-weighted splitting: a.b = c.d with e = gcd(∂a, b), c = a.e and
-  e.d = b needs only left cancellation and left gcds.
+  e.d = b needs only left cancellation and left gcds, and the pair (a, b)
+  is left-weighted iff e = 1.  The structure keeps e as its one splitting
+  table, the gcd rows permuted by ∂: normal forms and left-weightedness
+  read it, and c and d are read off the product and residual tables.
 - Twist identity x.Delta = Delta.phi(x): both are x.∂x.phi(x).
 
 The "phi" stage of a report therefore holds whenever "lattice" does.  The
@@ -51,7 +55,7 @@ build that checks all of these is kept in the tests as the reference.
 Elements of the Garside group are NormalForm values: an integer power of
 Delta followed by left-weighted simple factors, none equal to the identity
 or to Delta.  All arithmetic rests on one step: right-multiplying such a
-factor list by a simple, with a single right-to-left sweep of the product
+factor list by a simple, with a single right-to-left sweep of the
 splitting table that stops at the first pair already left-weighted.  An
 inverse letter a^-1 = ∂a . Delta^-1 is taken as
 x . a^-1 = Delta^-1 . phi^-1(x . ∂a); signed products keep their factors
@@ -100,11 +104,12 @@ class GarsideStructure:
         self.generator_atoms: tuple[int, ...] = ()  # generator index -> atom
         self.product_table: list[list[int | None]] = []  # [a][b] = a * b, if simple
         self.left_div_mask: list[int] = []     # bit i set in entry j: i left-divides j
-        self.atom_mask = 0  # bit a set for each atom a
         self.residual_left: list[list[int | None]] = []   # a * c = b  =>  [a][b] = c
         self.left_complement: tuple[int, ...] = ()   # a * comp(a) = Delta
+        # [a][b] = e = gcd(comp(a), b): a * b = (a * e) * d with e * d = b,
+        # and (a, b) is left-weighted iff e = 1.  Rows are the gcd table's.
+        self.split: list[list[int]] = []
         self._phi_powers: list[tuple[int, ...]] = []
-        self.product_decomp_table: list[list[tuple[int, int]]] = []
         self._atom_nf: dict[int, NormalForm] = {}
 
     # -- rendering ---------------------------------------------------------
@@ -138,7 +143,9 @@ class GarsideStructure:
         return bool(self.left_div_mask[b] >> a & 1)
 
     def product_decomp(self, a: int, b: int) -> tuple[int, int]:
-        return self.product_decomp_table[a][b]
+        """The left-weighted pair (c, d) with c * d = a * b."""
+        e = self.split[a][b]
+        return self.product_table[a][e], self.residual_left[e][b]
 
     # -- phi ---------------------------------------------------------------
 
@@ -159,31 +166,36 @@ class GarsideStructure:
     # -- left-weightedness -------------------------------------------------
 
     def left_weighted(self, a: int, b: int) -> bool:
-        """No atom x satisfies a*x <= Delta and x <= b."""
-        mask = self.left_div_mask
-        return not mask[self.left_complement[a]] & mask[b] & self.atom_mask
+        """gcd(comp(a), b) = 1: no atom x satisfies a*x <= Delta and x <= b."""
+        return self.split[a][b] == self.identity
 
     # -- normal forms ------------------------------------------------------
 
     def _right_multiply(self, factors: list[int], s: int) -> int:
         """Right-multiply left-weighted proper factors by the simple s in place.
 
-        One right-to-left sweep re-splits each pair (f_i, f_i+1) and stops at
-        the first pair already left-weighted; the result is left-weighted,
-        with any Deltas at the front and identities at the back.  Those
-        identities are dropped and the Deltas removed; returns their count.
+        One right-to-left sweep re-splits each pair (f_i, f_i+1) into
+        (f_i . e, d) with e = gcd(comp(f_i), f_i+1) and e . d = f_i+1, and
+        stops at the first pair with e = 1, already left-weighted; the result
+        is left-weighted, with any Deltas at the front and identities at the
+        back.  Those identities are dropped and the Deltas removed; returns
+        their count.
         """
-        decomp = self.product_decomp_table
+        split = self.split
+        product = self.product_table
+        residual = self.residual_left
         i = len(factors)
         factors.append(s)
+        b = s  # the right member of the pair at i, carried from the last step
         while i:
             i -= 1
-            c, d = decomp[factors[i]][factors[i + 1]]
-            if c == factors[i]:  # c = f_i . e with e = 1, so d = f_i+1 too
+            a = factors[i]
+            e = split[a][b]
+            if not e:  # e = 1 (simple 0): the pair is left-weighted
                 break
-            factors[i] = c
-            factors[i + 1] = d
-        while factors and factors[-1] == self.identity:
+            factors[i + 1] = residual[e][b]
+            b = factors[i] = product[a][e]
+        while factors and not factors[-1]:
             factors.pop()
         k = 0
         while k < len(factors) and factors[k] == self.delta:
@@ -405,7 +417,6 @@ def build_garside(
         atom_ids.append(a)
     g.generator_atoms = tuple(atom_ids)
     g.atoms = tuple(sorted(set(atom_ids)))
-    g.atom_mask = sum(1 << a for a in g.atoms)
     g.product_table = _product_table(g.simples, word_map)
 
     # The two lattice checks: unique left residuals, then left gcds.
@@ -423,14 +434,9 @@ def build_garside(
         current = tuple(phi[current[a]] for a in range(n))
     g._phi_powers = powers
 
-    # Left-weighted splitting of two-simple products: a * b = c * d with
-    # c = a * gcd(comp(a), b).
-    g.product_decomp_table = []
-    for a, comp in enumerate(g.left_complement):
-        products = g.product_table[a]
-        g.product_decomp_table.append(
-            [(products[e], g.residual_left[e][b]) for b, e in enumerate(gcd_left[comp])]
-        )
+    # Left-weighted splitting of two-simple products: row a of the gcd
+    # table permuted to comp(a), so [a][b] = gcd(comp(a), b).
+    g.split = [gcd_left[c] for c in g.left_complement]
     # An atom equal to Delta (the free monoid on one letter) is Delta^1, not
     # a factor, so each atom goes through the normaliser.
     g._atom_nf = {a: g.normal_form_simples([(a, 1)]) for a in g.atoms}

@@ -256,17 +256,18 @@ def _series_universe(max_de: int, max_n: int) -> list[tuple[int, int, int]]:
     Rank-one members (n = 1) are excluded: the cyclic group of order d
     appears as G(de, e, 1) for every e, so keeping them would report each
     cyclic group as isodiscriminantal with its own reparametrizations.
-    G(2,2,2) is excluded as reducible.
+    G(2,2,2) is excluded as reducible.  Each e is listed with its multiples
+    de <= max_de, so the loop grows as max_de log max_de, and the sort
+    restores the order by (de, e, n).
     """
-    params = []
-    for de in range(1, max_de + 1):
-        for e in range(1, de + 1):
-            if de % e != 0:
-                continue
-            for n in range(2, max_n + 1):
-                if (de, e, n) == (2, 2, 2):
-                    continue
-                params.append((de, e, n))
+    params = [
+        (de, e, n)
+        for e in range(1, max_de + 1)
+        for de in range(e, max_de + 1, e)
+        for n in range(2, max_n + 1)
+        if (de, e, n) != (2, 2, 2)
+    ]
+    params.sort()
     return params
 
 

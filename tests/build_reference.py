@@ -151,12 +151,11 @@ def build_garside(
         atom_ids.append(a)
     g.generator_atoms = tuple(atom_ids)
     g.atoms = tuple(sorted(set(atom_ids)))
-    g.atom_mask = sum(1 << a for a in g.atoms)
     g.product_table = _product_table(g.simples, word_map)
 
     # Residuals, divisibility masks, lattice tables.  All four lattice tables
     # are checked for the lattice axiom; only the left gcd table is kept, as a
-    # local, for the product splitting below.
+    # local, for the splitting table below.
     g.residual_left, g.left_div_mask, left_mult_mask = _build_residuals(
         g, left=True
     )
@@ -207,8 +206,9 @@ def build_garside(
         current = tuple(phi[current[a]] for a in range(n))
     g._phi_powers = powers
 
-    # Left-weighted splitting of two-simple products.
-    g.product_decomp_table = [[(0, 0)] * n for _ in range(n)]
+    # Left-weighted splitting of two-simple products: a * b = c * d with
+    # e = gcd(comp(a), b), c = a * e and e * d = b.
+    g.split = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
             e = gcd_left[g.left_complement[a]][b]
@@ -223,7 +223,7 @@ def build_garside(
                         f"has no left-weighted splitting"
                     ],
                 )
-            g.product_decomp_table[a][b] = (c, d)
+            g.split[a][b] = e
     # An atom equal to Delta (the free monoid on one letter) is Delta^1, not
     # a factor, so each atom goes through the normaliser.
     g._atom_nf = {a: g.normal_form_simples([(a, 1)]) for a in g.atoms}

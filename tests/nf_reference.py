@@ -16,7 +16,7 @@ def normalize_simple_seq(g: GarsideStructure, seq: list[int]) -> tuple[int, tupl
     while changed:
         changed = False
         for i in range(len(factors) - 1):
-            c, d = g.product_decomp_table[factors[i]][factors[i + 1]]
+            c, d = g.product_decomp(factors[i], factors[i + 1])
             if (c, d) != (factors[i], factors[i + 1]):
                 factors[i], factors[i + 1] = c, d
                 changed = True

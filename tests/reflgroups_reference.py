@@ -3,6 +3,8 @@
 The original per-candidate version: `regular_numbers` builds the full
 regularity report of every d up to the bound and keeps the regular ones,
 and each regular report rescans every e up to the bound for its class.
+`series_universe` is the original pair-search universe, which tries every
+e <= de for every de.
 """
 
 import math
@@ -51,3 +53,17 @@ def regular_numbers(data: GroupData) -> tuple[int, ...]:
     return tuple(
         d for d in range(1, bound + 1) if regularity(data, d).regular
     )
+
+
+def series_universe(max_de: int, max_n: int) -> list[tuple[int, int, int]]:
+    """Series parameters (de, e, n) entering the pair search, in order."""
+    params = []
+    for de in range(1, max_de + 1):
+        for e in range(1, de + 1):
+            if de % e != 0:
+                continue
+            for n in range(2, max_n + 1):
+                if (de, e, n) == (2, 2, 2):
+                    continue
+                params.append((de, e, n))
+    return params

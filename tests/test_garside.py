@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from garside.presentation import (
     parse_presentation,
 )
 from garside.typeb import typeb_presentation
+from lattice_reference import bound_table
 
 
 def test_verify_g12(g12):
@@ -159,10 +163,51 @@ def test_product_table_matches_word_lookup(any_structure):
 def test_structure_keeps_no_words(name):
     # The oracle and the word -> simple map are locals of the build; the
     # structure keeps one word per simple and its tables.
+    # Nor does it keep a table whose rows hold tuples: a pair per entry of an
+    # n x n table is derived when read.
     for value in vars(bundled.get_structure(name)).values():
         assert not isinstance(value, CongruenceTable)
         if isinstance(value, dict):
             assert not any(isinstance(key, tuple) for key in value)
+        if isinstance(value, (list, tuple)):
+            for row in value:
+                if isinstance(row, (list, tuple)):
+                    assert not any(isinstance(x, tuple) for x in row)
+
+
+@pytest.mark.parametrize("name, limit_kib", [("g13", 400), ("typeb3", 130)])
+def test_built_structure_holds_small_tables(name, limit_kib):
+    # What a built structure holds once the oracle and the word map of its
+    # build are collected: n x n tables of small ints.  The bounds sit
+    # between what those tables take (about 225 and 75 KiB) and what one
+    # stored pair per entry would add to them.
+    p = bundled.load_presentation(name)
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build_garside(p)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert g.simples
+    assert held < limit_kib * 1024, held // 1024
+
+
+@pytest.mark.parametrize("name", bundled.BUNDLED_NAMES)
+def test_split_is_gcd_of_complement(name):
+    # split[a][b] = gcd(comp(a), b), against the candidate-scan gcd table.
+    g = bundled.get_structure(name)
+    gcd = bound_table(g, g.left_div_mask, "left", True)
+    n = len(g.simples)
+    for a in range(n):
+        comp = g.left_complement[a]
+        for b in range(n):
+            assert g.split[a][b] == gcd[comp][b], (a, b)
 
 
 def test_left_weighted_mask_matches_atom_loop(any_structure):

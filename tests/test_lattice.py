@@ -88,12 +88,16 @@ def _build_outcome(build, p: Presentation):
         g = build(p)
     except AxiomViolation as exc:
         return exc.kind, exc.witnesses
+    # product_table is not compared: the derived pairs cover the entries of
+    # it that the split reads.
+    n = len(g.simples)
     return (
         g.residual_left,
         g.left_div_mask,
         g.left_complement,
         g._phi_powers,
-        g.product_decomp_table,
+        g.split,
+        [[g.product_decomp(a, b) for b in range(n)] for a in range(n)],
         g._atom_nf,
     )
 

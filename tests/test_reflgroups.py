@@ -5,6 +5,7 @@ import reflgroups_reference
 
 from garside.errors import GarsideError, UnknownGroup
 from garside.reflgroups import (
+    _series_universe,
     center_order,
     exceptional_table,
     group_data,
@@ -174,6 +175,15 @@ def test_isodiscriminantal_pairs_smaller_universe():
     assert [(p.first, p.second) for p in pairs] == PAIRS[:10]
     pairs = isodiscriminantal_pairs(max_de=6, max_n=4)
     assert [(p.first, p.second) for p in pairs] == PAIRS[:5]
+
+
+def test_series_universe_matches_reference():
+    # Divisors listed from their multiples, then sorted, give the universe
+    # of the divisor scan in the same order, so the pairs keep first/second.
+    for max_n in range(2, 6):
+        for max_de in range(201):
+            expected = reflgroups_reference.series_universe(max_de, max_n)
+            assert _series_universe(max_de, max_n) == expected, (max_de, max_n)
 
 
 def test_regularity_matches_reference():
