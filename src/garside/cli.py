@@ -162,7 +162,7 @@ def _cmd_roots(args: argparse.Namespace, budget: int) -> int:
             "schema": 1,
             "source": args.source,
             "zp_power": args.zp,
-            **vars(report),
+            **report._asdict(),
             "centralizer": _centralizer_payload(g, report.centralizer),
         }
     )
@@ -174,13 +174,22 @@ def _cmd_regular(args: argparse.Namespace, budget: int) -> int:
     from .reflgroups import _regular_reports, _regularity_payload
 
     data = reflgroups.group_data(args.group)
+    order = reflgroups.group_order(data)
+    # json.dumps cannot print an int past the interpreter's int-to-str
+    # digit limit (0 means none), so such an order is refused up front.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and order >= 10**limit:
+        raise GarsideError(
+            f"{data.name}: the group order has more than {limit} digits, "
+            "the interpreter's limit for printing an integer"
+        )
     payload = {
         "schema": 1,
         "group": data.name,
         "degrees": list(data.degrees),
         "codegrees": list(data.codegrees),
         "rank": data.rank,
-        "order": reflgroups.group_order(data),
+        "order": order,
         "center_order": reflgroups.center_order(data),
     }
     if args.d is not None:
@@ -203,7 +212,7 @@ def _cmd_pairs(args: argparse.Namespace, budget: int) -> int:
             "max_de": args.max_de,
             "max_n": args.max_n,
             "count": len(pairs),
-            "pairs": [vars(p) for p in pairs],
+            "pairs": [p._asdict() for p in pairs],
         }
     )
     return 0

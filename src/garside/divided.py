@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from operator import itemgetter
 
 from .errors import BudgetExceeded, GarsideError, NonComposablePath
@@ -173,27 +172,30 @@ def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class Morphism:
-    entries: tuple[int, ...]
-    source: int
-    target: int
+class Morphism(namedtuple("Morphism", ["entries", "source", "target"])):
+    __slots__ = ()
 
     def is_endo(self) -> bool:
         return self.source == self.target
 
 
-@dataclass
-class DividedCategory:
-    g: GarsideStructure
-    p: int
-    q: int
-    objects: list[tuple[int, ...]]
-    morphisms: list[Morphism]  # every non-identity member of D_2p^2q
-    identity_tuples: dict[int, tuple[int, ...]]  # object id -> identity tuple
-    triples: list[tuple[int, int, int]]  # composable f;g = h, morphism ids
-    eliminated: dict[int, tuple[int, int]]  # endo id -> defining path (f, g)
-    relations: list[tuple[list[int], list[int]]]  # presented path equations
+class DividedCategory(
+    namedtuple(
+        "DividedCategory",
+        [
+            "g",
+            "p",
+            "q",
+            "objects",  # D_p^q, in lex order
+            "morphisms",  # every non-identity member of D_2p^2q, as Morphisms
+            "identity_tuples",  # object id -> identity tuple
+            "triples",  # composable f;g = h, morphism ids
+            "eliminated",  # endo id -> defining path (f, g)
+            "relations",  # presented path equations (lhs ids, rhs ids)
+        ],
+    )
+):
+    __slots__ = ()
 
     def generator_ids(self) -> list[int]:
         return [i for i in range(len(self.morphisms)) if i not in self.eliminated]
@@ -287,14 +289,10 @@ def build_category(g: GarsideStructure, p: int, q: int) -> DividedCategory:
         assert targets[gid] == targets[hid]
         triples.append((fid, gid, hid))
 
+    endo = [s == t for s, t in zip(sources, targets)]
     eliminated: dict[int, tuple[int, int]] = {}
     for fid, gid, hid in triples:
-        if (
-            morphisms[hid].is_endo()
-            and hid not in eliminated
-            and not morphisms[fid].is_endo()
-            and not morphisms[gid].is_endo()
-        ):
+        if endo[hid] and hid not in eliminated and not endo[fid] and not endo[gid]:
             eliminated[hid] = (fid, gid)
 
     def expand(mid: int) -> list[int]:
@@ -347,13 +345,19 @@ def collapse(c: DividedCategory, path: Path) -> NormalForm:
     return c.g.normal_form_simples(letters)
 
 
-@dataclass
-class VertexGroupPresentation:
-    tree_edges: list[int]
-    loop_edges: list[int]  # non-tree morphism ids, one loop generator each
-    loop_paths: list[Path]  # base -> base conjugated loops
-    relators: list[list[int]]  # words in signed 1-based loop references
-    collapse_images: list[NormalForm]
+class VertexGroupPresentation(
+    namedtuple(
+        "VertexGroupPresentation",
+        [
+            "tree_edges",  # morphism ids of the spanning tree
+            "loop_edges",  # non-tree morphism ids, one loop generator each
+            "loop_paths",  # base -> base conjugated loops
+            "relators",  # words in signed 1-based loop references
+            "collapse_images",  # NormalForm of each loop path
+        ],
+    )
+):
+    __slots__ = ()
 
 
 def _free_reduce(word: list[int]) -> list[int]:
@@ -428,11 +432,18 @@ def vertex_group(c: DividedCategory, base: int) -> VertexGroupPresentation:
     return VertexGroupPresentation(tree, loop_edges, loop_paths, relators, images)
 
 
-@dataclass
-class SimplifiedPresentation:
-    generators: list[int]  # surviving loop indices (into loop_edges)
-    relators: list[list[int]]
-    inconclusive: bool  # always False, as the pass always ends; reports keep the key
+class SimplifiedPresentation(
+    namedtuple(
+        "SimplifiedPresentation",
+        [
+            "generators",  # surviving loop indices (into loop_edges)
+            "relators",
+            # always False, as the pass always ends; reports keep the key
+            "inconclusive",
+        ],
+    )
+):
+    __slots__ = ()
 
 
 def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:

@@ -65,7 +65,7 @@ Inversion has the closed form of El-Rifai and Morton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import AxiomViolation, GarsideError
 from .presentation import (
@@ -77,12 +77,10 @@ from .presentation import (
 )
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """Delta power plus left-weighted proper simple factors."""
+class NormalForm(namedtuple("NormalForm", ["delta_power", "factors"])):
+    """Delta power plus left-weighted proper simple factors (a tuple of ids)."""
 
-    delta_power: int
-    factors: tuple[int, ...]
+    __slots__ = ()
 
 IDENTITY_NF = NormalForm(0, ())
 

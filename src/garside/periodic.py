@@ -12,7 +12,7 @@ d-th roots of z_P are read off the divided category C_{p'}^{q'} where
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .divided import (
     DividedCategory,
@@ -92,25 +92,37 @@ def candidate_root_orders(g: GarsideStructure, zp_power: int) -> list[int]:
     return [d for d in range(1, total + 1) if total % d == 0]
 
 
-@dataclass
-class CentralizerSummary:
-    generator_count: int
-    relator_count: int
-    cyclic: bool
-    generator_collapse: NormalForm | None
-    inconclusive: bool
+class CentralizerSummary(
+    namedtuple(
+        "CentralizerSummary",
+        [
+            "generator_count",
+            "relator_count",
+            "cyclic",
+            "generator_collapse",  # NormalForm of the one generator, else None
+            "inconclusive",
+        ],
+    )
+):
+    __slots__ = ()
 
 
-@dataclass
-class RootReport:
-    d: int
-    p_reduced: int
-    q_reduced: int
-    object_count: int
-    morphism_count: int
-    component_count: int
-    exists: bool
-    centralizer: CentralizerSummary | None
+class RootReport(
+    namedtuple(
+        "RootReport",
+        [
+            "d",
+            "p_reduced",
+            "q_reduced",
+            "object_count",
+            "morphism_count",
+            "component_count",
+            "exists",
+            "centralizer",  # CentralizerSummary, or None when not asked for
+        ],
+    )
+):
+    __slots__ = ()
 
 
 def _centralizer_payload(

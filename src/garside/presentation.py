@@ -26,7 +26,6 @@ is given.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InhomogeneousPresentation, ParseError
 
@@ -35,13 +34,39 @@ Word = tuple[int, ...]
 TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
 class Presentation:
-    """Generators, homogeneous relations, and the designated Garside word."""
+    """Generators, homogeneous relations, and the designated Garside word.
 
-    generators: tuple[str, ...]
-    relations: tuple[tuple[Word, Word], ...]
-    delta_word: Word
+    Equal and hashed by its three fields, so it must be treated as immutable.
+    """
+
+    __slots__ = ("generators", "relations", "delta_word")
+
+    def __init__(
+        self,
+        generators: tuple[str, ...],
+        relations: tuple[tuple[Word, Word], ...],
+        delta_word: Word,
+    ) -> None:
+        self.generators = generators
+        self.relations = relations
+        self.delta_word = delta_word
+
+    def _key(self) -> tuple:
+        return self.generators, self.relations, self.delta_word
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "Presentation(generators={!r}, relations={!r}, delta_word={!r})".format(
+            *self._key()
+        )
 
     def word_from_tokens(self, tokens: list[str]) -> Word:
         index = {name: i for i, name in enumerate(self.generators)}
@@ -126,7 +151,6 @@ def require_homogeneous(p: Presentation) -> None:
         raise InhomogeneousPresentation(bad)
 
 
-@dataclass
 class CongruenceTable:
     """Canonical representatives of positive words.
 
@@ -135,15 +159,11 @@ class CongruenceTable:
     lexicographically least member of its class.
     """
 
-    presentation: Presentation
-    reps: dict[Word, Word] = field(default_factory=dict, init=False)
-    _members: dict[Word, tuple[Word, ...]] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _rules: tuple[tuple[Word, Word], ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        relations = self.presentation.relations
+    def __init__(self, presentation: Presentation) -> None:
+        self.presentation = presentation
+        self.reps: dict[Word, Word] = {}
+        self._members: dict[Word, tuple[Word, ...]] = {}
+        relations = presentation.relations
         self._rules = relations + tuple((rhs, lhs) for lhs, rhs in relations)
 
     def rep(self, word: Word) -> Word:

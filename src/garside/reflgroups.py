@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
 
@@ -33,51 +33,72 @@ _EXCEPTIONAL_NAME_RE = re.compile(r"G(\d+)\Z")
 _SERIES_NAME_RE = re.compile(r"G\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\Z")
 
 
-@dataclass(frozen=True)
-class GroupData:
-    # Canonical display name, e.g. "G13" or "G(12,12,2)".
-    name: str
-    # Degrees d_1 <= ... <= d_r, as a sorted tuple (multiset).
-    degrees: tuple[int, ...]
-    # Codegrees d_1^* <= ... <= d_r^*, same length as degrees.
-    codegrees: tuple[int, ...]
-    # Rank of the reflection representation.
-    rank: int
+class GroupData(
+    namedtuple(
+        "GroupData",
+        [
+            # Canonical display name, e.g. "G13" or "G(12,12,2)".
+            "name",
+            # Degrees d_1 <= ... <= d_r, as a sorted tuple (multiset).
+            "degrees",
+            # Codegrees d_1^* <= ... <= d_r^*, same length as degrees.
+            "codegrees",
+            # Rank of the reflection representation.
+            "rank",
+        ],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.degrees) != self.rank or len(self.codegrees) != self.rank:
+    def __new__(
+        cls, name: str, degrees: tuple[int, ...], codegrees: tuple[int, ...], rank: int
+    ) -> GroupData:
+        if len(degrees) != rank or len(codegrees) != rank:
             raise GarsideError(
-                f"{self.name}: rank {self.rank} does not match "
-                f"{len(self.degrees)} degrees / {len(self.codegrees)} codegrees"
+                f"{name}: rank {rank} does not match "
+                f"{len(degrees)} degrees / {len(codegrees)} codegrees"
             )
+        return super().__new__(cls, name, degrees, codegrees, rank)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    # The integer whose regularity was tested.
-    d: int
-    # Degrees divisible by d, in sorted order.
-    a: tuple[int, ...]
-    # Codegrees divisible by d (0 counts as divisible by everything).
-    b: tuple[int, ...]
-    # True when len(a) == len(b).
-    regular: bool
-    # gcd of a + b when regular, else None.
-    fundamental: int | None
-    # All regular e with the same (a, b) filters, else None.
-    r_class: tuple[int, ...] | None
-    # The member of r_class dividing every other member, if one exists.
-    class_minimum: int | None
+class RegularityReport(
+    namedtuple(
+        "RegularityReport",
+        [
+            # The integer whose regularity was tested.
+            "d",
+            # Degrees divisible by d, in sorted order.
+            "a",
+            # Codegrees divisible by d (0 counts as divisible by everything).
+            "b",
+            # True when len(a) == len(b).
+            "regular",
+            # gcd of a + b when regular, else None.
+            "fundamental",
+            # All regular e with the same (a, b) filters, else None.
+            "r_class",
+            # The member of r_class dividing every other member, if one exists.
+            "class_minimum",
+        ],
+    )
+):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IsoPair:
-    # Names of the two groups, in universe enumeration order.
-    first: str
-    second: str
-    # The shared invariants.
-    degrees: tuple[int, ...]
-    codegrees: tuple[int, ...]
+class IsoPair(
+    namedtuple(
+        "IsoPair",
+        [
+            # Names of the two groups, in universe enumeration order.
+            "first",
+            "second",
+            # The shared invariants.
+            "degrees",
+            "codegrees",
+        ],
+    )
+):
+    __slots__ = ()
 
 
 def _parse_int_list(text: str, where: str) -> tuple[int, ...]:

@@ -6,6 +6,8 @@ subcommands neither import nor compile the suites.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import bundled, divided, periodic, reflgroups, typeb
 from .monoid import NormalForm, verify_presentation
 from .periodic import _centralizer_payload
@@ -201,12 +203,19 @@ def _fundamental_invariance(budget: int) -> bool:
     return True
 
 
+# verify-pairs counts the default pairs and then lists them: one search
+# serves both rows.
+@lru_cache(maxsize=1)
+def _default_pairs() -> tuple[reflgroups.IsoPair, ...]:
+    return tuple(reflgroups.isodiscriminantal_pairs())
+
+
 def _pair_count(budget: int) -> int:
-    return len(reflgroups.isodiscriminantal_pairs())
+    return len(_default_pairs())
 
 
 def _pair_names(budget: int) -> list[list[str]]:
-    return [[p.first, p.second] for p in reflgroups.isodiscriminantal_pairs()]
+    return [[p.first, p.second] for p in _default_pairs()]
 
 
 _SCENARIOS: dict[str, list[tuple]] = {

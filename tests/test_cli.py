@@ -29,6 +29,22 @@ def test_scenario_verify_pairs(capsys):
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_scenario_verify_pairs_searches_once(capsys, monkeypatch):
+    from garside import reflgroups, scenarios
+
+    search, calls = reflgroups.isodiscriminantal_pairs, []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(reflgroups, "isodiscriminantal_pairs", counted)
+    scenarios._default_pairs.cache_clear()
+    rc, out, _ = run(capsys, "scenario", "verify-pairs")
+    assert rc == 0 and json.loads(out)["pass"] is True
+    assert calls == [()]
+
+
 def test_scenario_output_is_byte_stable(capsys):
     rc1, out1, _ = run(capsys, "scenario", "verify-regular")
     rc2, out2, _ = run(capsys, "scenario", "verify-regular")
@@ -151,13 +167,15 @@ def test_emit_writes_nothing_when_serialisation_fails(capsys):
 
 
 def test_regular_with_an_unprintable_order_emits_no_report(capsys):
-    # The order of G(2,1,1500) has 4567 digits, past the conversion limit;
-    # the rest of the message differs across Python versions.
+    # The order of G(2,1,1500) has 4567 digits, past the default limit of
+    # 4300 digits for printing an int; the CLI names the group and the limit.
     rc, out, err = run(capsys, "regular", "G(2,1,1500)")
     assert rc == 2
     assert out == ""
-    assert err.startswith("error: Exceeds the limit")
-    assert err.count("\n") == 1
+    assert err == (
+        "error: G(2,1,1500): the group order has more than 4300 digits, "
+        "the interpreter's limit for printing an integer\n"
+    )
 
 
 @pytest.mark.parametrize(

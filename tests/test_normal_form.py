@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from garside import bundled
 from garside.errors import GarsideError
-from garside.monoid import IDENTITY_NF
+from garside.monoid import IDENTITY_NF, NormalForm
 
 STRUCTURES = ("g12", "g13", "typeb3")
 
@@ -91,3 +91,11 @@ def test_long_signed_words_are_normal(name):
         assert g.multiply(x, g.invert(x)) == IDENTITY_NF
         assert g.multiply(g.invert(x), x) == IDENTITY_NF
     assert g.multiply(g.multiply(a, b), c) == g.multiply(a, g.multiply(b, c))
+
+
+def test_normal_form_hashes_as_its_fields():
+    nf = NormalForm(2, (1, 3))
+    assert hash(nf) == hash((2, (1, 3)))
+    assert nf == NormalForm(2, (1, 3)) != NormalForm(2, (3, 1))
+    assert (nf.delta_power, nf.factors) == (2, (1, 3))
+    assert IDENTITY_NF == NormalForm(0, ())

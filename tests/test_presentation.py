@@ -111,3 +111,16 @@ def test_word_from_tokens_reports_all_missing():
     p = Presentation(("a",), (), (0,))
     with pytest.raises(ParseError, match="x y"):
         p.word_from_tokens(["a", "x", "y"])
+
+
+def test_presentation_is_a_value_but_not_a_tuple():
+    # A tuple would be read as a table row by the structure's layout checks.
+    p, again = parse_presentation(G12_TEXT), parse_presentation(G12_TEXT)
+    assert not isinstance(p, tuple)
+    assert p == again and hash(p) == hash(again)
+    assert p != Presentation(p.generators, p.relations[:1], p.delta_word)
+    assert p != (p.generators, p.relations, p.delta_word)
+
+
+def test_congruence_table_is_not_a_tuple():
+    assert not isinstance(congruence_classes(parse_presentation(G12_TEXT), 2), tuple)

@@ -5,6 +5,8 @@ import reflgroups_reference
 
 from garside.errors import GarsideError, UnknownGroup
 from garside.reflgroups import (
+    GroupData,
+    _regular_numbers,
     _series_universe,
     center_order,
     exceptional_table,
@@ -40,6 +42,22 @@ def test_orders():
     assert group_order(group_data("G13")) == 96
     assert center_order(group_data("G13")) == 4
     assert group_order(group_data("G(1,1,5)")) == math.factorial(5)
+
+
+def test_group_data_is_a_value_keying_the_regular_numbers_cache():
+    first, second = group_data("G(12,12,2)"), group_data("G(12,12,2)")
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    numbers = regular_numbers(first)
+    hits = _regular_numbers.cache_info().hits
+    assert regular_numbers(second) == numbers
+    assert _regular_numbers.cache_info().hits == hits + 1
+
+
+def test_group_data_rejects_a_rank_that_does_not_match():
+    message = "^X: rank 3 does not match 2 degrees / 2 codegrees$"
+    with pytest.raises(GarsideError, match=message):
+        GroupData("X", (6, 8), (0, 10), 3)
 
 
 def test_series_symmetric():
