@@ -1,57 +1,58 @@
-"""Access to the presentations shipped with the package.
+"""Where a presentation comes from, and the cache of built structures.
 
-Sources given to the CLI (and to tests) resolve in two steps: an existing
-filesystem path wins, otherwise the source is treated as a bundled name
-(``g12``, ``g13``, ``typeb2``, ``typeb3``, with or without the ``.gar``
-suffix).  Built structures are cached per presentation text and budget, so
-repeated lookups do not rebuild the simples and their tables.
+A source resolves in order: an existing file path; ``g12`` or ``g13``, read
+from the data files beside this module; ``typeb<n>`` for n >= 1, generated by
+``typeb_presentation(n)``.  Either name may end in ``.gar``.  Built
+structures are cached per presentation and budget.
 """
 
 from __future__ import annotations
 
+import os
+import re
 from functools import lru_cache
-from importlib import resources
-from pathlib import Path
 
 from .monoid import GarsideStructure, build_garside
-from .presentation import DEFAULT_BUDGET, Presentation, parse_presentation
+from .presentation import DEFAULT_BUDGET, Presentation, check_strata, parse_presentation
 
-BUNDLED_NAMES = ("g12", "g13", "typeb2", "typeb3")
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+_TYPEB_RE = re.compile(r"typeb([1-9][0-9]*)\Z")
 
 
-def read_source(source: str) -> str:
-    """Presentation text for a path or bundled name.
+def load_presentation(source: str, budget: int = DEFAULT_BUDGET) -> Presentation:
+    """The presentation a path, shipped name or generated name stands for.
 
-    Raises FileNotFoundError when the source is neither an existing file
-    nor a bundled name.
+    Raises FileNotFoundError when the source is none of these, and
+    BudgetExceeded, before generating anything, for a generated
+    presentation whose build the budget refuses.
     """
-    path = Path(source)
-    if path.is_file():
-        return path.read_text(encoding="utf-8")
     name = source.removesuffix(".gar")
-    if name in BUNDLED_NAMES:
-        return (
-            resources.files("garside")
-            .joinpath(f"data/{name}.gar")
-            .read_text(encoding="utf-8")
+    if os.path.isfile(source):
+        path = source
+    elif name in ("g12", "g13"):
+        path = os.path.join(_DATA, f"{name}.gar")
+    elif match := _TYPEB_RE.match(name):
+        from .typeb import typeb_presentation
+
+        n = int(match[1])
+        check_strata(n, n * n, budget)
+        return typeb_presentation(n)
+    else:
+        raise FileNotFoundError(
+            f"{source!r} is not a file or a bundled presentation "
+            "(bundled: g12, g13, typeb<n> for n >= 1)"
         )
-    raise FileNotFoundError(
-        f"{source!r} is not a file or a bundled presentation "
-        f"(bundled: {', '.join(BUNDLED_NAMES)})"
-    )
-
-
-def load_presentation(source: str) -> Presentation:
-    return parse_presentation(read_source(source))
+    with open(path, encoding="utf-8") as f:
+        return parse_presentation(f.read())
 
 
 @lru_cache(maxsize=8)
-def _structure_for_text(text: str, budget: int) -> GarsideStructure:
-    return build_garside(parse_presentation(text), budget)
+def _structure(p: Presentation, budget: int) -> GarsideStructure:
+    return build_garside(p, budget)
 
 
 def get_structure(
     source: str, budget: int = DEFAULT_BUDGET
 ) -> GarsideStructure:
     """Build (or fetch from cache) the verified structure for a source."""
-    return _structure_for_text(read_source(source), budget)
+    return _structure(load_presentation(source, budget), budget)

@@ -69,7 +69,7 @@ def _cmd_verify(args: argparse.Namespace, budget: int) -> int:
     from . import bundled
     from .monoid import verify_presentation
 
-    report = verify_presentation(bundled.load_presentation(args.source), budget)
+    report = verify_presentation(bundled.load_presentation(args.source, budget), budget)
     _emit({"schema": 1, "source": args.source, **report})
     return 0 if all(report["axioms"].values()) else 1
 
@@ -221,8 +221,13 @@ def _cmd_pairs(args: argparse.Namespace, budget: int) -> int:
 def _cmd_typeb(args: argparse.Namespace, budget: int) -> int:
     from . import typeb
     from .monoid import build_garside
-    from .presentation import _parse_signed_word
+    from .presentation import _parse_signed_word, check_strata
 
+    if args.check_epsilon and args.n >= 1:
+        # Refuse an over-budget rank before generating its n(n-1)/2
+        # relations: the strata need only n and |delta| = n^2.  A rank
+        # below 1 is left to typeb_presentation's own error.
+        check_strata(args.n, args.n * args.n, budget)
     p = typeb.typeb_presentation(args.n)
     payload: dict = {
         "schema": 1,

@@ -19,8 +19,8 @@ first lookup of a word finds that component by a depth-first search and
 memoises it for every member.  The canonical representative of a class is
 its lexicographically least word (in declared generator order), which makes
 every downstream table deterministic.  The per-stratum budget is checked
-up front, by congruence_classes, against every stratum up to the length it
-is given.
+up front, by check_strata, against every stratum up to the length the
+build is given.
 """
 
 from __future__ import annotations
@@ -194,6 +194,21 @@ class CongruenceTable:
         return list(self._members[self.rep(word)])
 
 
+def check_strata(generators: int, max_length: int, budget: int) -> None:
+    """Refuse a build on `generators` letters up to words of max_length.
+
+    Raises BudgetExceeded for the first stratum up to max_length with more
+    than budget words.  It reads only the two counts, so a generated
+    presentation can be refused before it is generated.
+    """
+    for length in range(1, max_length + 1):
+        count = generators**length
+        if count > budget:
+            raise BudgetExceeded(
+                f"stratum of length {length} has {count} words", budget
+            )
+
+
 def congruence_classes(
     p: Presentation, max_length: int, budget: int = DEFAULT_BUDGET
 ) -> CongruenceTable:
@@ -203,11 +218,5 @@ def congruence_classes(
     than budget words.
     """
     require_homogeneous(p)
-    n = len(p.generators)
-    for length in range(1, max_length + 1):
-        count = n**length
-        if count > budget:
-            raise BudgetExceeded(
-                f"stratum of length {length} has {count} words", budget
-            )
+    check_strata(len(p.generators), max_length, budget)
     return CongruenceTable(p)

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 from collections import namedtuple
 from functools import lru_cache
-from importlib import resources
 
 from .errors import GarsideError, UnknownGroup
 
@@ -112,11 +112,9 @@ def _parse_int_list(text: str, where: str) -> tuple[int, ...]:
 @lru_cache(maxsize=1)
 def exceptional_table() -> dict[str, GroupData]:
     """The bundled degrees/codegrees table for G4 through G37."""
-    text = (
-        resources.files("garside")
-        .joinpath("data/exceptional_groups.txt")
-        .read_text(encoding="utf-8")
-    )
+    path = os.path.join(os.path.dirname(__file__), "data", "exceptional_groups.txt")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
     table: dict[str, GroupData] = {}
     for raw in text.splitlines():
         line = raw.strip()

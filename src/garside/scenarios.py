@@ -24,7 +24,7 @@ _CUBE_ROOTS = [["a b c"] * 3, ["b c a"] * 3, ["c a b"] * 3]
 
 
 def _axioms(budget: int, source: str) -> dict:
-    return verify_presentation(bundled.load_presentation(source), budget)["axioms"]
+    return verify_presentation(bundled.load_presentation(source, budget), budget)["axioms"]
 
 
 def _simple_count(budget: int, source: str) -> int:

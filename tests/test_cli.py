@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import garside
+from garside import bundled
 from garside.cli import _emit, main
+from garside.typeb import typeb_presentation
 
 
 def run(capsys, *argv):
@@ -224,6 +226,72 @@ def test_bundled_names_accept_gar_suffix(capsys):
     rc, out, _ = run(capsys, "nf", "g12.gar", "s", "t", "u", "s")
     assert rc == 0
     assert json.loads(out)["rendered"] == "delta"
+
+
+@pytest.mark.parametrize("source", ["typeb4", "typeb4.gar"])
+def test_typeb_names_resolve_to_the_generated_presentation(source):
+    assert bundled.load_presentation(source, 4**16) == typeb_presentation(4)
+
+
+def test_a_file_wins_over_a_generated_name(capsys, monkeypatch, tmp_path):
+    (tmp_path / "typeb2").write_text("gens: a b\nrel: a b a = b a b\ndelta: a b a\n")
+    monkeypatch.chdir(tmp_path)
+    assert bundled.load_presentation("typeb2").generators == ("a", "b")
+    rc, out, _ = run(capsys, "verify", "typeb2")
+    assert rc == 0
+    assert json.loads(out)["simple_count"] == 6
+
+
+@pytest.mark.parametrize("source", ["typeb0", "typeb02", "typebx"])
+def test_malformed_generated_names_are_unknown_sources(capsys, source):
+    rc, out, err = run(capsys, "verify", source)
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        f"error: {source!r} is not a file or a bundled presentation "
+        "(bundled: g12, g13, typeb<n> for n >= 1)\n"
+    )
+
+
+def test_verify_typeb1(capsys):
+    rc, out, _ = run(capsys, "verify", "typeb1")
+    assert rc == 0
+    assert json.loads(out)["simple_count"] == 2
+
+
+def test_verify_typeb4_is_over_the_default_budget(capsys):
+    rc, out, err = run(capsys, "verify", "typeb4")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: stratum of length 8 has 65536 words, over the budget of 59049\n"
+
+
+@pytest.mark.parametrize(
+    "n, stratum",
+    [
+        (3000, "stratum of length 2 has 9000000 words"),
+        (100000, "stratum of length 1 has 100000 words"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "typeb{n}"), ("typeb", "-n", "{n}", "--check-epsilon")],
+    ids=lambda argv: argv[0],
+)
+def test_large_typeb_rank_is_refused_before_it_is_generated(argv, n, stratum):
+    # n(n-1)/2 relations take seconds to generate at n = 2000; the budget
+    # needs only n and |delta| = n^2, so the refusal comes first.
+    env = dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "garside.cli", *(a.format(n=n) for a in argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: {stratum}, over the budget of 59049\n"
 
 
 def test_nf_rejects_general_exponents(capsys):

@@ -74,11 +74,20 @@ def test_no_subcommand_imports_dataclasses_or_inspect(argv):
     # The package's records are namedtuples and plain classes: importing
     # dataclasses (with inspect, ast and dis) and generating each record's
     # methods would cost more than some subcommands take to run.
-    # On Python 3.12 and later `from importlib import resources`, which
-    # reflgroups and bundled need for their data files, imports inspect.
+    # A .pth file run by site may preload importlib.resources, which imports
+    # inspect on Python 3.12 and later; the package itself imports neither.
     resources = _importtime("-c", "from importlib import resources")
     assert "dataclasses" not in imported_modules(*argv)
     assert "inspect" not in imported_modules(*argv) - resources
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_no_subcommand_imports_resources_pathlib_typing_or_inspect(argv):
+    # Without site, nothing preloads these; the package reads its data files
+    # with open() beside __file__.
+    unwanted = {"importlib.resources", "pathlib", "typing", "inspect"}
+    found = unwanted & _importtime("-S", "-m", "garside.cli", *argv)
+    assert not found
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 from congruence_reference import strata
 
-from garside.bundled import load_presentation, read_source
+import garside
+from garside.bundled import load_presentation
 from garside.errors import BudgetExceeded, InhomogeneousPresentation, ParseError
 from garside.presentation import (
     Presentation,
@@ -11,7 +14,7 @@ from garside.presentation import (
     require_homogeneous,
 )
 
-G12_TEXT = read_source("g12")
+G12_TEXT = (Path(garside.__file__).parent / "data" / "g12.gar").read_text(encoding="utf-8")
 
 
 def test_parse_g12():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from garside.bundled import load_presentation
 from garside.errors import GarsideError
 from garside.monoid import build_garside
+from garside.presentation import parse_presentation
 from garside.typeb import (
     check_epsilon,
     epsilon_word,
@@ -40,8 +41,23 @@ def test_rank_one_degenerates():
         typeb_presentation(0)
 
 
+# The texts of the typeb2.gar and typeb3.gar files the package once shipped:
+# the generated typeb2 and typeb3 must stay the presentations they named.
+TYPEB_TEXTS = {
+    2: "gens: b1 b2\nrel: b1 b2 b1 b2 = b2 b1 b2 b1\ndelta: b1 b2 b1 b2\n",
+    3: (
+        "gens: b1 b2 b3\n"
+        "rel: b1 b2 b1 b2 = b2 b1 b2 b1\n"
+        "rel: b2 b3 b2 = b3 b2 b3\n"
+        "rel: b1 b3 = b3 b1\n"
+        "delta: b1 b2 b3 b1 b2 b3 b1 b2 b3\n"
+    ),
+}
+
+
 def test_bundled_files_match_generated():
-    for n in (2, 3):
+    for n, text in TYPEB_TEXTS.items():
+        assert typeb_presentation(n) == parse_presentation(text)
         assert load_presentation(f"typeb{n}") == typeb_presentation(n)
 
 
