@@ -10,23 +10,31 @@ depth-first walk enumerates D_m^n: it picks each free entry, in ascending
 id, among the phi^(n/c)-fixed left divisors of the part of Delta still left
 (the running residual) whose length fits the free length still left, then
 checks the determined entries against the residual one at a time and keeps
-the tuple when the residual reaches 1.  Its work follows the tuples kept and
-the prefixes cut, not the number of length combinations.  It raises
-BudgetExceeded once it has kept more tuples than the budget the structure
-was built under.  With n = 0 every entry is free and the walk lists all
-decompositions of Delta.
+the tuple when the residual reaches 1.  The free choices (a, a \\ x) at a
+residual x are split from its bitmask once per walk, and a walk with only
+free entries emits its last two entries for all of x's choices at once.  Its
+work follows the tuples kept and the prefixes cut, not the number of length
+combinations.  It raises BudgetExceeded once it has kept more tuples than
+the budget the structure was built under.  With n = 0 every entry is free
+and the walk lists all decompositions of Delta.
 
 C_p^q has objects D_p^q, generating morphisms D_2p^2q, and relations induced
-by D_3p^3q (each 3p-tuple yields a composable triple f;g = h).  A morphism's
-endpoints and a triple's three parts are built from the tuple's entries and
-its twisted products t_i t_i+1 (phi(t_1) following t_m), each one read from
-the structure's two-simple product table.  Tuples of the interleaved form
-(1, x_1, 1, x_2, ...) are the object identities; f or g is one exactly when
-the entries it takes from the 3p-tuple are all 1, so relations through them
-are recognised from the 3p-tuple itself, proved trivial, then dropped.  An
-endomorphism generator defined by some triple (f, g, endo) with f, g proper
-non-endos is eliminated and rewritten as that path, matching how such
-composites are usually named rather than listed as generators.
+by D_3p^3q (each 3p-tuple yields a composable triple f;g = h).  The assembly
+works on whole columns: D_2p^2q and D_3p^3q are transposed once, and column
+i of their twisted products t_i t_i+1 (phi(t_1) following t_m) is read from
+the structure's two-simple product table in one pass.  A morphism's
+endpoints are the rows of alternate product columns, looked up in the index
+of D_p^q; a triple's three parts are fixed picks of entry and product
+columns, looked up in one index of all of D_2p^2q.  Tuples of the
+interleaved form (1, x_1, 1, x_2, ...) are the object identities; they take
+the ids after the morphisms', so a triple through an identity is recognised
+by its ids, proved trivial, then dropped.  Every check (simple blocks,
+endpoints in D_p^q, the identity equations, composability) compares whole
+columns.  An endomorphism generator defined by some triple (f, g, endo) with
+f, g proper non-endos is eliminated and rewritten as that path, matching how
+such composites are usually named rather than listed as generators; the
+first such triple in lex order defines it.  Triples and relations keep the
+lex order of their 3p-tuples.
 
 Vertex groups come from the standard groupoid contraction: spanning tree,
 one loop generator per non-tree edge, one relator per presented relation,
@@ -39,7 +47,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque, namedtuple
-from operator import itemgetter
+from itertools import chain, compress, count, islice
+from operator import eq, itemgetter, not_, or_
 
 from .errors import BudgetExceeded, GarsideError, NonComposablePath
 from .monoid import GarsideStructure, NormalForm
@@ -110,8 +119,16 @@ def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
     ]
     residual = g.residual_left
     last = cycles - 1
+    # The walk recurses down to `stop`.  There a determined walk closes the
+    # tuple; an all-free one has each child (a, a \ x) of x as its last
+    # two entries, or Delta as its only entry when m = 1.  Nothing follows
+    # the last entry, so it is the residual itself; phi^(n/cycles) fixes it,
+    # as it fixes Delta and the others.
+    stop = last if determined else max(last - 1, 0)
     out: list[tuple[int, ...]] = []
     entries: list[int] = []
+    # x -> its free choices (a, a \ x), split from fits[x] on the first visit.
+    choices: list[list[tuple[int, int]] | None] = [None] * len(g.simples)
 
     def close(x: int) -> None:
         # The last free entry fills what is left of the free length; the
@@ -136,26 +153,34 @@ def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
             entries.pop()
 
     def step(i: int, x: int) -> None:
-        if i == last:
-            if determined:
-                close(x)
-            else:
-                # Nothing follows, so the last entry is the residual itself;
-                # phi^(n/cycles) fixes it, as it fixes Delta and the others.
-                out.append(tuple(entries) + (x,))
-            if len(out) > g.budget:
-                raise BudgetExceeded(
-                    f"D_{m}^{n} has at least {len(out)} tuples", g.budget
-                )
-            return
-        mask = fits[x]
-        while mask:
-            low = mask & -mask
-            a = low.bit_length() - 1
-            mask ^= low
-            entries.append(a)
-            step(i + 1, residual[a][x])
-            entries.pop()
+        if determined and i == last:
+            close(x)
+        elif i == last:
+            out.append((x,))
+        else:
+            kids = choices[x]
+            if kids is None:
+                kids = choices[x] = []
+                mask = fits[x]
+                while mask:
+                    low = mask & -mask
+                    a = low.bit_length() - 1
+                    mask ^= low
+                    kids.append((a, residual[a][x]))
+            if i < stop:
+                for a, y in kids:
+                    entries.append(a)
+                    step(i + 1, y)
+                    entries.pop()
+                return
+            prefix = tuple(entries)
+            for kid in kids:
+                out.append(prefix + kid)
+        if len(out) > g.budget:
+            # An all-free walk names the first count over the budget; a
+            # determined one, the count after the close that passed it.
+            kept = len(out) if determined else g.budget + 1
+            raise BudgetExceeded(f"D_{m}^{n} has at least {kept} tuples", g.budget)
 
     try:
         step(0, g.delta)
@@ -214,17 +239,24 @@ class DividedCategory(
         return f"{self.path_label(rel[0])} = {self.path_label(rel[1])}"
 
 
-def _is_identity_tuple(t: tuple[int, ...]) -> bool:
-    return not any(t[::2])
+def _with_products(
+    product: list[list[int | None]],
+    phi: tuple[int, ...],
+    rows: list[tuple[int, ...]],
+    m: int,
+) -> list:
+    """Columns t_1, ..., t_m of the rows, then t_1 t_2, ..., t_m phi(t_1).
 
-
-def _twisted_products(
-    product: list[list[int | None]], phi: tuple[int, ...], t: tuple[int, ...]
-) -> tuple[int | None, ...]:
-    """(t_1 t_2, t_2 t_3, ..., t_m phi(t_1)) read from the product table."""
-    # product[t_i][t_i+1] with the row and the column lookups mapped in C.
-    rows = map(product.__getitem__, t)
-    return tuple(map(list.__getitem__, rows, t[1:] + (phi[t[0]],)))
+    Each product column is read whole from the two-simple product table.
+    """
+    cols = list(zip(*rows))
+    if not cols:
+        return [()] * (2 * m)
+    rights = cols[1:] + [tuple(map(phi.__getitem__, cols[0]))]
+    return cols + [
+        list(map(list.__getitem__, map(product.__getitem__, left), right))
+        for left, right in zip(cols, rights)
+    ]
 
 
 def build_category(g: GarsideStructure, p: int, q: int) -> DividedCategory:
@@ -238,71 +270,92 @@ def build_category(g: GarsideStructure, p: int, q: int) -> DividedCategory:
 
     # t = (a_1, b_1, ..., a_p, b_p) runs from (a_k b_k)_k to (b_k a_k+1)_k,
     # with a_p+1 = phi(a_1): its twisted products, alternately.
+    # Each list of rows, columns or ids is dropped as soon as it is read, so
+    # the peak stays near what the finished category holds.
     raw = divided_set(g, 2 * p, 2 * q)
-    morphisms: list[Morphism] = []
-    mor_index: dict[tuple[int, ...], int] = {}
-    identity_tuples: dict[int, tuple[int, ...]] = {}
-    for t in raw:
-        blocks = _twisted_products(product, phi, t)
-        assert None not in blocks, "non-simple endpoint block"
-        src_t, tgt_t = blocks[0::2], blocks[1::2]
-        assert src_t in obj_index and tgt_t in obj_index, "dangling endpoint"
-        if _is_identity_tuple(t):
-            oid = obj_index[src_t]
-            assert src_t == tgt_t and t[1::2] == objects[oid]
-            identity_tuples[oid] = t
-        else:
-            mor_index[t] = len(morphisms)
-            morphisms.append(Morphism(t, obj_index[src_t], obj_index[tgt_t]))
-    assert set(identity_tuples) == set(range(len(objects)))
+    w = _with_products(product, phi, raw, 2 * p)
+    sources = list(map(obj_index.get, zip(*w[2 * p :: 2])))
+    targets = list(map(obj_index.get, zip(*w[2 * p + 1 :: 2])))
+    del w
+    # A block that is not a simple (None) leaves its endpoint out of D_p^q.
+    assert None not in sources and None not in targets, "dangling endpoint"
+    # (1, x_1, ..., 1, x_p) is the identity of the object (x_1, ..., x_p);
+    # in lex order the identities come in the objects' order, each a loop.
+    ones = (g.identity,) * len(objects)
+    identities = list(zip(*[c for col in zip(*objects) for c in (ones, col)]))
+    is_identity = list(map(set(identities).__contains__, raw))
+    assert (
+        list(compress(sources, is_identity))
+        == list(compress(targets, is_identity))
+        == list(range(len(objects)))
+    )
+    identity_tuples = dict(enumerate(identities))
+    proper = list(map(not_, is_identity))
+    entries = list(compress(raw, proper))
+    del raw, is_identity
+    sources = list(compress(sources, proper))
+    targets = list(compress(targets, proper))
+    morphisms = list(map(Morphism, entries, sources, targets))
+    # Every member of D_2p^2q has an id, the identities' after the
+    # morphisms', so a part of a triple is an identity iff its id >= n_mor.
+    n_mor = len(morphisms)
+    index = dict(zip(chain(entries, identities), count()))
+    # A relation names a morphism by its id, or an eliminated endo by the
+    # pair that defines it; the ids are the ints the triples hold.
+    expansion = [[mid] for mid in islice(index.values(), n_mor)]
+    del entries
 
     # u = (a_1, b_1, c_1, ..., a_p, b_p, c_p) composes f = (a_k, b_k c_k)_k
     # and g = (b_k, c_k a_k+1)_k into h = (a_k b_k, c_k)_k, a_p+1 = phi(a_1).
-    # In w = u + u's twisted products, each part is a fixed pick of entries.
+    # In w, u's columns and then its twisted products', each part of the
+    # triple is a fixed pick of columns.
     m = 3 * p
     ks = range(0, m, 3)
     pick_f = itemgetter(*[i for k in ks for i in (k, m + k + 1)])
     pick_g = itemgetter(*[i for k in ks for i in (k + 1, m + k + 2)])
     pick_h = itemgetter(*[i for k in ks for i in (m + k, k + 2)])
-    sources = [mor.source for mor in morphisms]
-    targets = [mor.target for mor in morphisms]
-    triples: list[tuple[int, int, int]] = []
-    for u in divided_set(g, m, 3 * q):
-        blocks = _twisted_products(product, phi, u)
-        assert None not in blocks, "non-simple relation block"
-        w = u + blocks
-        f_t, g_t, h_t = pick_f(w), pick_g(w), pick_h(w)
-        f_is_id = not any(u[0::3])
-        g_is_id = not any(u[1::3])
-        if f_is_id or g_is_id:
-            # Identity-involving relations carry no content; prove it.
-            if f_is_id and g_is_id:
-                assert f_t == g_t == h_t
-            elif f_is_id:
-                assert g_t == h_t
-            else:
-                assert f_t == h_t
-            continue
-        fid, gid, hid = mor_index[f_t], mor_index[g_t], mor_index[h_t]
-        assert targets[fid] == sources[gid]
-        assert sources[fid] == sources[hid]
-        assert targets[gid] == targets[hid]
-        triples.append((fid, gid, hid))
+    w = _with_products(product, phi, divided_set(g, m, 3 * q), m)
+    f_ids = list(map(index.get, zip(*pick_f(w))))
+    g_ids = list(map(index.get, zip(*pick_g(w))))
+    h_ids = list(map(index.get, zip(*pick_h(w))))
+    del w, index
+    # Each part is a member of D_2p^2q, so each of its blocks is a simple.
+    assert None not in f_ids and None not in g_ids and None not in h_ids, (
+        "relation part outside D_2p^2q"
+    )
+    # Identity-involving relations carry no content; prove it.
+    f_one = [i >= n_mor for i in f_ids]
+    g_one = [i >= n_mor for i in g_ids]
+    assert list(compress(g_ids, f_one)) == list(compress(h_ids, f_one))
+    assert list(compress(f_ids, g_one)) == list(compress(h_ids, g_one))
+    keep = list(map(not_, map(or_, f_one, g_one)))
+    fs = list(compress(f_ids, keep))
+    gs = list(compress(g_ids, keep))
+    hs = list(compress(h_ids, keep))
+    del f_ids, g_ids, h_ids, f_one, g_one, keep
+    assert max(hs, default=-1) < n_mor, "identity as a composite"
+    assert [targets[i] for i in fs] == [sources[i] for i in gs]
+    assert [sources[i] for i in fs] == [sources[i] for i in hs]
+    assert [targets[i] for i in gs] == [targets[i] for i in hs]
+    triples = list(zip(fs, gs, hs))
 
-    endo = [s == t for s, t in zip(sources, targets)]
+    # The first triple (f, g, endo) with f and g non-endos defines its endo;
+    # it is not presented as a relation.
+    endo = list(map(eq, sources, targets))
     eliminated: dict[int, tuple[int, int]] = {}
-    for fid, gid, hid in triples:
-        if endo[hid] and hid not in eliminated and not endo[fid] and not endo[gid]:
+    presented = bytearray(b"\x01") * len(triples)
+    for i in compress(count(), map(endo.__getitem__, hs)):
+        fid, gid, hid = triples[i]
+        if hid not in eliminated and not endo[fid] and not endo[gid]:
             eliminated[hid] = (fid, gid)
+            expansion[hid] = [fid, gid]
+            presented[i] = 0
+    del fs, gs, hs
 
-    def expand(mid: int) -> list[int]:
-        return list(eliminated[mid]) if mid in eliminated else [mid]
-
-    relations: list[tuple[list[int], list[int]]] = []
-    for fid, gid, hid in triples:
-        if eliminated.get(hid) == (fid, gid):
-            continue
-        relations.append((expand(fid) + expand(gid), expand(hid)))
+    relations = [
+        (expansion[fid] + expansion[gid], expansion[hid][:])
+        for fid, gid, hid in compress(triples, presented)
+    ]
 
     return DividedCategory(
         g, p, q, objects, morphisms, identity_tuples, triples, eliminated, relations

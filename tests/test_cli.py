@@ -11,6 +11,8 @@ import pytest
 import garside
 from garside import bundled
 from garside.cli import _emit, main
+from garside.errors import BudgetExceeded
+from garside.presentation import parse_presentation
 from garside.typeb import typeb_presentation
 
 
@@ -292,6 +294,57 @@ def test_large_typeb_rank_is_refused_before_it_is_generated(argv, n, stratum):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == f"error: {stratum}, over the budget of 59049\n"
+
+
+def test_typeb_rank_past_the_int_digit_limit_is_refused_by_name(capsys):
+    # int() of more digits than the interpreter's limit fails with Python's
+    # own message; the resolver refuses such an n before reading it.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("this interpreter reads integers of any length")
+    rc, out, err = run(capsys, "verify", "typeb" + "1" * (limit + 100))
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        f"error: typeb<n>: n has more than {limit} digits, the interpreter's "
+        "limit for reading an integer\n"
+    )
+
+
+def test_named_presentations_are_made_once(monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_presentation(text)
+
+    monkeypatch.setattr(bundled, "parse_presentation", counting)
+    bundled._named.cache_clear()
+    bundled._structure.cache_clear()
+    try:
+        first = bundled.get_structure("g12")
+        assert bundled.get_structure("g12") is first
+        assert bundled.load_presentation("g12.gar") is bundled.load_presentation("g12")
+        assert len(calls) == 1
+    finally:
+        bundled._named.cache_clear()
+        bundled._structure.cache_clear()
+
+
+def test_files_are_read_on_every_call(tmp_path):
+    path = tmp_path / "braid.gar"
+    path.write_text("gens: a b\nrel: a b a = b a b\ndelta: a b a\n")
+    assert bundled.load_presentation(str(path)).generators == ("a", "b")
+    path.write_text("gens: x y\nrel: x y x = y x y\ndelta: x y x\n")
+    assert bundled.load_presentation(str(path)).generators == ("x", "y")
+
+
+def test_a_generated_name_made_once_is_still_checked_against_the_budget():
+    assert bundled.load_presentation("typeb4", 4**16) == typeb_presentation(4)
+    with pytest.raises(BudgetExceeded, match="^stratum of length 8 has 65536 words"):
+        bundled.load_presentation("typeb4")
+    with pytest.raises(BudgetExceeded, match="^stratum of length 2 has 9000000 words"):
+        bundled.load_presentation("typeb3000")
 
 
 def test_nf_rejects_general_exponents(capsys):
