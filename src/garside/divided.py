@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from collections import deque, namedtuple
 from itertools import chain, compress, count, islice
 from operator import eq, itemgetter, not_, or_
@@ -87,6 +88,14 @@ def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
     free_length, rem = divmod(g.delta_length * cycles, m)
     if rem:
         return []
+    out_of_reach = (
+        f"D_{m}^{n} is out of reach: its {cycles} free entries nest past "
+        "the recursion limit"
+    )
+    if cycles > sys.getrecursionlimit():
+        # The identity fits every free entry, so the walk would nest that
+        # deep; checked before anything of length m is allocated.
+        raise GarsideError(out_of_reach)
     # Entry i is phi^exponent[i] of entry i mod cycles: sigma^n-fixedness
     # reads t_j = phi^(-((i+n)//m))(t_i) for j = (i+n) mod m.
     exponent = [0] * m
@@ -143,10 +152,10 @@ def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
             y = residual[a][x]
             for perm, base in determined:
                 b = perm[entries[base]]
-                if not g.left_div_mask[y] >> b & 1:
+                y = residual[b][y]
+                if y is None:
                     break
                 tail.append(b)
-                y = residual[b][y]
             else:
                 if y == g.identity:
                     out.append(tuple(entries + tail))
@@ -185,10 +194,7 @@ def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
     try:
         step(0, g.delta)
     except RecursionError:
-        raise GarsideError(
-            f"D_{m}^{n} is out of reach: its {cycles} free entries nest past "
-            "the recursion limit"
-        ) from None
+        raise GarsideError(out_of_reach) from None
     finally:
         # step refers to itself through its closure; clearing the name breaks
         # that cycle, so out is freed with its last caller, not by the

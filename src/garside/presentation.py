@@ -14,9 +14,13 @@ generator names matching ``[A-Za-z][A-Za-z0-9_]*``; `rel:` order is kept.
 
 The oracle closes congruence classes on demand.  Relations preserve
 length, so a class lies inside one stratum and is the connected component
-of a word under single-relation rewrites applied in either direction; the
-first lookup of a word finds that component by a depth-first search and
-memoises it for every member.  The canonical representative of a class is
+of a word under single-relation rewrites applied in either direction.  Both
+sides of every relation go into one index, side length -> {side: the sides
+it rewrites to}, so the depth-first search that finds a component slices
+each window of a word once per distinct side length and makes one dict
+lookup.  The first lookup of a word closes its class and maps every member
+to its representative; only that map is kept, and the members of a class
+are found by closing it again.  The canonical representative of a class is
 its lexicographically least word (in declared generator order), which makes
 every downstream table deterministic.  The per-stratum budget is checked
 up front, by check_strata, against every stratum up to the length the
@@ -155,43 +159,45 @@ class CongruenceTable:
     """Canonical representatives of positive words.
 
     Two words are congruent iff they share a representative.  Classes are
-    closed on first use; reps maps every word closed so far to the
-    lexicographically least member of its class.
+    closed on first use; reps, the only state kept, maps every word closed
+    so far to the lexicographically least member of its class.  Both sides
+    of every relation are indexed by length, each side to the sides it
+    rewrites to, so a closure looks up each window of a word once per
+    distinct side length.
     """
 
     def __init__(self, presentation: Presentation) -> None:
-        self.presentation = presentation
         self.reps: dict[Word, Word] = {}
-        self._members: dict[Word, tuple[Word, ...]] = {}
-        relations = presentation.relations
-        self._rules = relations + tuple((rhs, lhs) for lhs, rhs in relations)
+        index: dict[int, dict[Word, list[Word]]] = {}
+        for lhs, rhs in presentation.relations:
+            for side, other in ((lhs, rhs), (rhs, lhs)):
+                index.setdefault(len(side), {}).setdefault(side, []).append(other)
+        self._index = tuple(index.items())
 
     def rep(self, word: Word) -> Word:
         found = self.reps.get(word)
-        return self._close(word) if found is None else found
+        return self._close(word)[0] if found is None else found
 
-    def _close(self, word: Word) -> Word:
+    def _close(self, word: Word) -> list[Word]:
+        """The sorted members of word's class, each now mapped in reps."""
         seen = {word}
         stack = [word]
         while stack:
             w = stack.pop()
-            for lhs, rhs in self._rules:
-                span = len(lhs)
+            for span, rewrites in self._index:
                 for at in range(len(w) - span + 1):
-                    if w[at : at + span] == lhs:
+                    for rhs in rewrites.get(w[at : at + span], ()):
                         other = w[:at] + rhs + w[at + span :]
                         if other not in seen:
                             seen.add(other)
                             stack.append(other)
-        members = tuple(sorted(seen))
-        least = members[0]
-        for w in members:
-            self.reps[w] = least
-        self._members[least] = members
-        return least
+        members = sorted(seen)
+        self.reps.update(dict.fromkeys(members, members[0]))
+        return members
 
     def class_members(self, word: Word) -> list[Word]:
-        return list(self._members[self.rep(word)])
+        """The sorted members of word's class, closed again on every call."""
+        return self._close(word)
 
 
 def check_strata(generators: int, max_length: int, budget: int) -> None:

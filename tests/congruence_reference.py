@@ -94,11 +94,11 @@ def residuals(
     return out
 
 
-def strata(table: CongruenceTable, length: int) -> list[list[Word]]:
-    """All classes of one length, sorted by representative, closed by
-    enumerating every word of that length."""
-    n = len(table.presentation.generators)
-    reps = {table.rep(w) for w in itertools.product(range(n), repeat=length)}
+def strata(table: CongruenceTable, generators: int, length: int) -> list[list[Word]]:
+    """All classes of one length over that many generators, sorted by
+    representative, closed by enumerating every word of that length."""
+    words = itertools.product(range(generators), repeat=length)
+    reps = {table.rep(w) for w in words}
     return [table.class_members(r) for r in sorted(reps)]
 
 

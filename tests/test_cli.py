@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -182,6 +183,24 @@ def test_regular_with_an_unprintable_order_emits_no_report(capsys):
     )
 
 
+def _cap_address_space():
+    # A walk that allocates per entry before it checks its reach asks for
+    # about 800 GB on -p 100000000000 -q 100000000000; under the cap it
+    # fails at once instead of pressing on the host's memory.
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def _divided_g12(p, q):
+    return subprocess.run(
+        [sys.executable, "-m", "garside.cli", "divided", "g12", "-p", p, "-q", q],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parents[1])),
+        timeout=10,
+        preexec_fn=_cap_address_space,
+    )
+
+
 @pytest.mark.parametrize(
     "p, q, name",
     [
@@ -193,19 +212,39 @@ def test_regular_with_an_unprintable_order_emits_no_report(capsys):
     ],
 )
 def test_divided_past_recursion_limit_is_a_clean_error(p, q, name):
-    env = dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "garside.cli", "divided", "g12", "-p", p, "-q", q],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=20,
-    )
+    done = _divided_g12(p, q)
     assert done.returncode == 2
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith(f"error: {name} ")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "p, q, m, n, cycles",
+    [
+        # A MemoryError and an OverflowError before the reach check.
+        ("100000000000", "100000000000", 10**11, 10**11, 10**11),
+        ("100000000000", "0", 10**11, 0, 10**11),
+        ("1" + "0" * 20, "1" + "0" * 20, 10**20, 10**20, 10**20),
+        # 993 entries pass the check and still hit the limit while walking.
+        ("331", "331", 993, 993, 993),
+    ],
+)
+def test_divided_far_past_recursion_limit_is_refused_up_front(p, q, m, n, cycles):
+    done = _divided_g12(p, q)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: D_{m}^{n} is out of reach: its {cycles} free entries nest past "
+        "the recursion limit\n"
+    )
+
+
+def test_divided_just_inside_recursion_limit_still_runs():
+    done = _divided_g12("330", "330")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["p"] == 330
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
 """The lazy congruence oracle and the tables built on it, against the
-eager reference on every word up to the length of Delta."""
+eager reference on every word up to the length of Delta, on the bundled
+structures and on seeded random presentations; typeb4's tables by digest."""
 
+import hashlib
 import itertools
+import pickle
+import random
 from functools import lru_cache
 
 import pytest
@@ -11,7 +15,7 @@ from congruence_reference import ReferenceTable, residuals, strata
 from garside import bundled, monoid
 from garside.divided import divided_set
 from garside.monoid import build_garside
-from garside.presentation import congruence_classes
+from garside.presentation import congruence_classes, parse_presentation
 
 NAMES = ("g12", "g13", "typeb2", "typeb3")
 
@@ -35,11 +39,55 @@ def test_lazy_table_matches_reference(name):
     for w in words_up_to(len(p.generators), len(p.delta_word)):
         assert table.rep(w) == ref.rep(w)
         assert table.class_members(w) == ref.class_members(w)
-    for length in range(len(p.delta_word) + 1):
-        assert strata(table, length) == ref.classes(length)
+    n, top = len(p.generators), len(p.delta_word)
+    for length in range(top + 1):
+        assert strata(table, n, length) == ref.classes(length)
     # Strata closed by enumeration alone agree as well.
-    fresh = congruence_classes(p, len(p.delta_word))
-    assert strata(fresh, len(p.delta_word)) == ref.classes(len(p.delta_word))
+    fresh = congruence_classes(p, top)
+    assert strata(fresh, n, top) == ref.classes(top)
+
+
+def random_presentation(seed: int) -> str:
+    """A homogeneous `.gar` document on 2-4 generators with sides of length
+    0-4; by seed it also has an empty relation, a trivial one u = u, a side
+    shared by two relations, or a repeated relation."""
+    rng = random.Random(seed)
+    names = "abcd"[: rng.randint(2, 4)]
+
+    def side(length):
+        return " ".join(rng.choice(names) for _ in range(length))
+
+    relations = []
+    for _ in range(rng.randint(1, 4)):
+        length = rng.randint(0, 4)
+        relations.append((side(length), side(length)))
+    lhs, rhs = relations[0]
+    extra = seed % 5
+    if extra == 1:
+        relations.append(("", ""))
+    elif extra == 2:
+        relations.append((lhs, lhs))
+    elif extra == 3:
+        relations.append((side(len(lhs.split())), lhs))
+    elif extra == 4:
+        relations.append((lhs, rhs))
+    rng.shuffle(relations)
+    lines = [f"gens: {' '.join(names)}", f"delta: {names[0]}"]
+    lines += [f"rel: {u} = {v}" for u, v in relations]
+    return "\n".join(lines) + "\n"
+
+
+def test_indexed_closure_matches_reference_on_random_presentations():
+    for seed in range(200):
+        p = parse_presentation(random_presentation(seed))
+        n = len(p.generators)
+        # 63, 121 or 85 words; class_members closes a class once per member.
+        top = 7 - n
+        ref = ReferenceTable(p, top)
+        table = congruence_classes(p, top)
+        for w in words_up_to(n, top):
+            assert table.rep(w) == ref.rep(w), (seed, w)
+            assert table.class_members(w) == ref.class_members(w), (seed, w)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -73,20 +121,26 @@ def test_residuals_match_reference_scan(name):
     assert table == residuals(g, ref, left=False)
 
 
+@pytest.fixture
+def oracles(monkeypatch):
+    """Every congruence oracle build_garside makes, in order."""
+    made = []
+
+    def capture(*args):
+        made.append(congruence_classes(*args))
+        return made[-1]
+
+    monkeypatch.setattr(monoid, "congruence_classes", capture)
+    return made
+
+
 @pytest.mark.parametrize(
     "name, closed, divided",
     [("g13", 192, [(3, 4), (2, 1), (3, 0)]), ("typeb3", 209, [(3, 1), (2, 1), (6, 2)])],
 )
-def test_build_closes_only_simple_classes(monkeypatch, name, closed, divided):
+def test_build_closes_only_simple_classes(oracles, name, closed, divided):
     # Every word the oracle closed belongs to a simple: the build never falls
     # back to closing whole strata, and divided_set asks the oracle nothing.
-    oracles = []
-
-    def capture(*args):
-        oracles.append(congruence_classes(*args))
-        return oracles[-1]
-
-    monkeypatch.setattr(monoid, "congruence_classes", capture)
     g = build_garside(bundled.load_presentation(name))
     [oracle] = oracles
     assert len(oracle.reps) == closed
@@ -94,3 +148,17 @@ def test_build_closes_only_simple_classes(monkeypatch, name, closed, divided):
     for m, n in divided:
         divided_set(g, m, n)
     assert len(oracle.reps) == closed
+
+
+def test_typeb4_tables_are_pinned(oracles):
+    # The largest class the repo closes: Delta's, 24,024 words.  The digest
+    # was recorded with the closure that tried every rule at every position.
+    g = build_garside(bundled.load_presentation("typeb4", 4**16), 4**16)
+    [oracle] = oracles
+    assert len(oracle.reps) == 103_484
+    assert len(g.simples) == 384
+    assert g.phi_order == 1
+    phi_powers = [g.phi_power_perm(k) for k in range(g.phi_order)]
+    tables = (g.simples, g.product_table, g.residual_left, g.split, phi_powers)
+    digest = hashlib.sha256(pickle.dumps(tables, protocol=4)).hexdigest()
+    assert digest == "ca5e8d0e7293450d901034aa4add21031371e38126cbe4fe76405ef1719f44d1"

@@ -84,7 +84,7 @@ def test_congruence_reps_are_lex_least(g12):
     # The table closes classes on demand; materialise every stratum so the
     # loop below sees every word.
     for k in range(5):
-        strata(table, k)
+        strata(table, 3, k)
     assert len(table.reps) == sum(3**k for k in range(5))
     for w, r in table.reps.items():
         assert r <= w
@@ -97,8 +97,8 @@ def test_congruence_short_strata(g12):
     ts = p.word_from_tokens(["t", "s"])
     assert table.rep(st) != table.rep(ts)
     # No relation is shorter than four letters, so lengths 1 and 2 are free.
-    assert len(strata(table, 1)) == 3
-    assert len(strata(table, 2)) == 9
+    assert len(strata(table, 3, 1)) == 3
+    assert len(strata(table, 3, 2)) == 9
     assert table.rep(()) == ()
 
 
