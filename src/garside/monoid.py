@@ -56,11 +56,19 @@ Elements of the Garside group are NormalForm values: an integer power of
 Delta followed by left-weighted simple factors, none equal to the identity
 or to Delta.  All arithmetic rests on one step: right-multiplying such a
 factor list by a simple, with a single right-to-left sweep of the
-splitting table that stops at the first pair already left-weighted.  An
-inverse letter a^-1 = ∂a . Delta^-1 is taken as
-x . a^-1 = Delta^-1 . phi^-1(x . ∂a); signed products keep their factors
-in a frame twisted by a pending power of phi and untwist once at the end.
-Inversion has the closed form of El-Rifai and Morton.
+splitting table that stops at the first pair already left-weighted, or
+as soon as the simple it carries leftwards becomes Delta.  By the twist
+identity, prefix . Delta . suffix = Delta . phi(prefix . phi^-1(suffix)),
+so the step drops that Delta and relabels by phi^-1 only the factors the
+sweep has passed, instead of walking Delta through the whole prefix.
+Products therefore keep their factors in a frame twisted by a pending
+power of phi, which each Delta taken out raises by one, and untwist once
+at the end.  An inverse letter a^-1 = ∂a . Delta^-1 is taken as
+x . a^-1 = Delta^-1 . phi^-1(x . ∂a), which lowers the twist by one.  A
+word of simples first folds each run of letters of one sign into fewer
+simples through the product table; a random signed word then costs one
+or two splitting lookups per letter, whatever its length.  Inversion has
+the closed form of El-Rifai and Morton.
 """
 
 from __future__ import annotations
@@ -172,20 +180,26 @@ class GarsideStructure:
     def _right_multiply(self, factors: list[int], s: int) -> int:
         """Right-multiply left-weighted proper factors by the simple s in place.
 
-        One right-to-left sweep re-splits each pair (f_i, f_i+1) into
-        (f_i . e, d) with e = gcd(comp(f_i), f_i+1) and e . d = f_i+1, and
-        stops at the first pair with e = 1, already left-weighted; the result
-        is left-weighted, with any Deltas at the front and identities at the
-        back.  Those identities are dropped and the Deltas removed; returns
-        their count.
+        Returns k, 0 or 1, such that the old factors times s equal Delta^k
+        times phi^k of the new ones.  One right-to-left sweep re-splits each
+        pair (f_i, f_i+1) into (f_i . e, d) with e = gcd(comp(f_i), f_i+1)
+        and e . d = f_i+1, and stops at the first pair with e = 1, already
+        left-weighted.  It also stops when the carried simple f_i becomes
+        Delta: prefix . Delta . suffix = Delta . phi(prefix . phi^-1(suffix)),
+        so that Delta is dropped, the suffix the sweep has passed is
+        relabelled by phi^-1, and the caller twists its frame by phi.  The
+        prefix is left as it is, where walking Delta to the front would
+        touch every factor of it.  An identity can only arise at the back,
+        where it is dropped.
         """
         split = self.split
         product = self.product_table
         residual = self.residual_left
+        delta = self.delta
         i = len(factors)
         factors.append(s)
-        b = s  # the right member of the pair at i, carried from the last step
-        while i:
+        b = s  # the simple at i, carried from the last step
+        while i and b != delta:
             i -= 1
             a = factors[i]
             e = split[a][b]
@@ -193,13 +207,14 @@ class GarsideStructure:
                 break
             factors[i + 1] = residual[e][b]
             b = factors[i] = product[a][e]
-        while factors and not factors[-1]:
-            factors.pop()
         k = 0
-        while k < len(factors) and factors[k] == self.delta:
-            k += 1
-        if k:
-            del factors[:k]
+        if b == delta:  # only the carry can be Delta, and it sits at i
+            del factors[i]
+            if self.phi_order > 1:
+                factors[i:] = map(self.phi_power_perm(-1).__getitem__, factors[i:])
+            k = 1
+        if factors and not factors[-1]:
+            factors.pop()
         return k
 
     def _atom(self, gi: int) -> int:
@@ -220,24 +235,48 @@ class GarsideStructure:
     def normal_form_simples(self, letters: list[tuple[int, int]]) -> NormalForm:
         """Normal form of a product of simples given as (simple id, +-1) pairs.
 
-        The running value is Delta^p . phi^t(factors).  A positive letter s
-        appends phi^-t(s); a negative one appends phi^-t of its complement
-        and lowers p and t by one, since y . s^-1 = Delta^-1 . phi^-1(y . ds).
+        First each run of letters of one sign is folded left to right: a
+        letter joins the simple before it while the product table has their
+        product, a . b for positive letters and b . a for inverse ones, as
+        a^-1 . b^-1 = (b . a)^-1.  Left normal forms are unique, so the
+        folding changes the work and not the result.
+
+        The running value is Delta^p . phi^t(factors).  A positive simple s
+        appends phi^-t(s), and a negative one phi^-t of its complement
+        followed by Delta^-1, since y . s^-1 = y . ds . Delta^-1 and
+        y . Delta^-1 = Delta^-1 . phi^-1(y).  Each Delta the append takes out
+        (or puts in) raises (or lowers) p and t together.
         """
+        product = self.product_table
+        runs: list[tuple[int, bool]] = []
+        run, positive = self.identity, True
+        for s, sign in letters:
+            if (sign > 0) == positive:
+                folded = product[run][s] if positive else product[s][run]
+                if folded is not None:
+                    run = folded
+                    continue
+            runs.append((run, positive))
+            run, positive = s, sign > 0
+        runs.append((run, positive))
+
         comp = self.left_complement
         order = self.phi_order
         factors: list[int] = []
         p = t = 0
         perm = self.phi_power_perm(0)  # phi^-t
-        for s, sign in letters:
-            if sign > 0:
-                p += self._right_multiply(factors, perm[s])
+        for s, positive in runs:
+            if positive:
+                k = self._right_multiply(factors, perm[s])
             else:
-                p += self._right_multiply(factors, perm[comp[s]]) - 1
-                t = (t - 1) % order
+                k = self._right_multiply(factors, perm[comp[s]]) - 1
+            if k:
+                p += k
+                t = (t + k) % order
                 perm = self.phi_power_perm(-t)
-        perm = self.phi_power_perm(t)
-        return NormalForm(p, tuple(perm[f] for f in factors))
+        if t:
+            factors = map(self.phi_power_perm(t).__getitem__, factors)
+        return NormalForm(p, tuple(factors))
 
     def nf_length(self, x: NormalForm) -> int:
         return x.delta_power * self.delta_length + sum(
@@ -247,13 +286,22 @@ class GarsideStructure:
     # -- group arithmetic ----------------------------------------------------
 
     def multiply(self, x: NormalForm, y: NormalForm) -> NormalForm:
-        """x . y = Delta^(p+q) . phi^q(x's factors) . y's factors, q = y's power."""
+        """x . y = Delta^(p+q) . phi^q(x's factors) . y's factors, q = y's power.
+
+        The product is kept as Delta^(p+q+t) . phi^t(factors), with t the
+        Deltas taken out so far, as in normal_form_simples.
+        """
         perm = self.phi_power_perm(y.delta_power)
         factors = [perm[f] for f in x.factors]
-        k = x.delta_power + y.delta_power
+        t = 0
+        perm = self.phi_power_perm(0)  # phi^-t
         for f in y.factors:
-            k += self._right_multiply(factors, f)
-        return NormalForm(k, tuple(factors))
+            if self._right_multiply(factors, perm[f]):
+                t += 1
+                perm = self.phi_power_perm(-t)
+        if t % self.phi_order:
+            factors = map(self.phi_power_perm(t).__getitem__, factors)
+        return NormalForm(x.delta_power + y.delta_power + t, tuple(factors))
 
     def invert(self, x: NormalForm) -> NormalForm:
         """Closed form, left-weighted as it stands: for x = Delta^p f_1...f_k,

@@ -205,14 +205,30 @@ def check_strata(generators: int, max_length: int, budget: int) -> None:
 
     Raises BudgetExceeded for the first stratum up to max_length with more
     than budget words.  It reads only the two counts, so a generated
-    presentation can be refused before it is generated.
+    presentation can be refused before it is generated.  A count of more
+    than 30 digits is given by its number of digits.
     """
     for length in range(1, max_length + 1):
         count = generators**length
         if count > budget:
-            raise BudgetExceeded(
-                f"stratum of length {length} has {count} words", budget
+            words = (
+                f"{count} words"
+                if count < 10**30
+                else f"a {_decimal_digits(count)}-digit number of words"
             )
+            raise BudgetExceeded(f"stratum of length {length} has {words}", budget)
+
+
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of n >= 1.
+
+    str() refuses ints of more digits than the interpreter's limit, so the
+    count starts from a lower bound read off the bit length.
+    """
+    digits = max(1, int((n.bit_length() - 1) * 0.3010299956639812))
+    while 10**digits <= n:
+        digits += 1
+    return digits
 
 
 def congruence_classes(

@@ -148,7 +148,8 @@ def test_nf_empty_word_is_identity(capsys):
 
 
 def test_nf_long_signed_word_finishes():
-    # A quadratic-or-worse normaliser takes minutes here; the limit is generous.
+    # A cubic normaliser takes minutes here; the limit is generous.  The work
+    # per letter is bounded in test_normal_form.py.
     rng = random.Random(4000)
     tokens = [rng.choice("stu") + rng.choice(("", "^-1")) for _ in range(4000)]
     env = dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parents[1]))
@@ -347,6 +348,37 @@ def test_typeb_rank_past_the_int_digit_limit_is_refused_by_name(capsys):
     assert err == (
         f"error: typeb<n>: n has more than {limit} digits, the interpreter's "
         "limit for reading an integer\n"
+    )
+
+
+def test_typeb_rank_of_many_digits_is_refused_in_one_short_line(capsys):
+    rc, out, err = run(capsys, "verify", "typeb" + "1" * 4300)
+    assert rc == 2
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "generators, budget, stratum, words",
+    [
+        (10**30 - 1, 1, 1, f"{10**30 - 1} words"),
+        (10**30, 1, 1, "a 31-digit number of words"),
+        (10**15, 10**15, 2, "a 31-digit number of words"),
+        (2, 2**99, 100, "a 31-digit number of words"),
+        # A count of 8,599 digits, more than str() converts.
+        (10**4299, 10**4299, 2, "a 8599-digit number of words"),
+    ],
+)
+def test_budget_gives_counts_past_30_digits_by_their_digits(
+    generators, budget, stratum, words
+):
+    from garside.presentation import check_strata
+
+    with pytest.raises(BudgetExceeded) as caught:
+        check_strata(generators, stratum, budget)
+    assert str(caught.value) == (
+        f"stratum of length {stratum} has {words}, over the budget of {budget}"
     )
 
 

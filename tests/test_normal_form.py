@@ -1,3 +1,4 @@
+import copy
 import random
 
 import nf_reference as ref
@@ -9,7 +10,7 @@ from garside import bundled
 from garside.errors import GarsideError
 from garside.monoid import IDENTITY_NF, NormalForm
 
-STRUCTURES = ("g12", "g13", "typeb3")
+STRUCTURES = ("g12", "g13", "typeb2", "typeb3")
 
 # Generator and simple ids are reduced modulo the structure's counts.  The
 # length is drawn first: plain st.lists keeps most examples under 16 letters.
@@ -91,6 +92,107 @@ def test_long_signed_words_are_normal(name):
         assert g.multiply(x, g.invert(x)) == IDENTITY_NF
         assert g.multiply(g.invert(x), x) == IDENTITY_NF
     assert g.multiply(g.multiply(a, b), c) == g.multiply(a, g.multiply(b, c))
+
+
+def _random_positive(g, rng, length):
+    n = len(g.presentation.generators)
+    return [(rng.randrange(n), 1) for _ in range(length)]
+
+
+def _inverse_word(letters):
+    return [(s, -sign) for s, sign in reversed(letters)]
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+@pytest.mark.parametrize("length", [800, 3200])
+def test_long_words_match_sweep_reference(name, length):
+    # g12 is the one structure with phi of order > 1, so the only one where
+    # a Delta carry relabels the factors the sweep passed.
+    g = bundled.get_structure(name)
+    rng = random.Random(f"sweep:{name}:{length}")
+    signed = _random_signed(g, rng, length)
+    positive = _random_positive(g, rng, length)
+    x = g.normal_form_signed(signed)
+    y = g.normal_form_signed(positive)
+    atoms = [(g.generator_atoms[gi], sign) for gi, sign in signed]
+    assert x == ref.sweep_normal_form_simples(g, atoms)
+    assert y == ref.sweep_normal_form_simples(
+        g, [(g.generator_atoms[gi], 1) for gi, _ in positive]
+    )
+    assert g.normal_form([gi for gi, _ in positive]) == y
+    assert g.invert(x) == ref.sweep_normal_form_simples(g, _inverse_word(atoms))
+    assert g.multiply(x, y) == ref.sweep_multiply(g, x, y)
+    assert g.multiply(y, x) == ref.sweep_multiply(g, y, x)
+    assert g.power(x, 3) == ref.sweep_multiply(g, ref.sweep_multiply(g, x, x), x)
+    y_inv = g.invert(y)
+    assert g.power(y, -2) == ref.sweep_multiply(g, y_inv, y_inv)
+    # x . Delta^(phi order) . x^-1 is central; x and y are not.
+    z = g.multiply(g.multiply(x, NormalForm(g.phi_order, ())), g.invert(x))
+    assert z == NormalForm(g.phi_order, ())
+    for w in (x, y, z):
+        assert g.is_central(w) == ref.sweep_is_central(g, w)
+    assert g.is_central(z) and not g.is_central(y)
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_simple_letters_match_sweep_reference(name):
+    # Arbitrary simples, the identity and positive Deltas among them, and
+    # runs of atoms that fold into Delta: a word of Delta read forwards, or
+    # backwards with every letter inverted, which is Delta^-1.
+    g = bundled.get_structure(name)
+    rng = random.Random(f"simples:{name}")
+    delta_atoms = [g.generator_atoms[gi] for gi in g.presentation.delta_word]
+    pieces = [
+        [(g.delta, 1)],
+        [(g.identity, rng.choice((1, -1)))],
+        [(a, 1) for a in delta_atoms],
+        [(a, -1) for a in reversed(delta_atoms)],
+    ]
+    for _ in range(40):
+        letters = []
+        while len(letters) < 800:
+            if rng.random() < 0.3:
+                letters += rng.choice(pieces)
+            else:
+                letters.append((rng.randrange(len(g.simples)), rng.choice((1, -1))))
+        x = g.normal_form_simples(letters)
+        assert x == ref.sweep_normal_form_simples(g, letters)
+        assert g.invert(x) == ref.sweep_normal_form_simples(g, _inverse_word(letters))
+    assert g.normal_form_simples([(a, 1) for a in delta_atoms]) == NormalForm(1, ())
+    assert g.normal_form_simples(pieces[3] * 3) == NormalForm(-3, ())
+
+
+class _CountingRow(list):
+    """A row of the splitting table that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, b):
+        _CountingRow.lookups += 1
+        return list.__getitem__(self, b)
+
+
+def _split_lookups(g, letters):
+    counted = copy.copy(g)
+    counted.split = [_CountingRow(row) for row in g.split]
+    _CountingRow.lookups = 0
+    counted.normal_form_signed(letters)
+    return _CountingRow.lookups
+
+
+@pytest.mark.parametrize("name", ["g12", "g13", "typeb3"])
+def test_signed_words_cost_linear_splitting_lookups(name):
+    # A quadratic sweep costs 160-210 lookups a letter at 3,200 letters, and
+    # 17 times its count at 800 letters.
+    g = bundled.get_structure(name)
+    counts = {
+        length: _split_lookups(
+            g, _random_signed(g, random.Random(f"work:{name}:{length}"), length)
+        )
+        for length in (800, 3200)
+    }
+    assert counts[3200] <= 4 * 3200
+    assert counts[3200] <= 5 * counts[800]
 
 
 def test_normal_form_hashes_as_its_fields():
