@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import os
 import re
-import sys
 from functools import lru_cache
 
-from .errors import GarsideError
+from .errors import GarsideError, int_digit_limit
 from .monoid import GarsideStructure, build_garside
 from .presentation import DEFAULT_BUDGET, Presentation, check_strata, parse_presentation
 
@@ -38,9 +37,9 @@ def load_presentation(source: str, budget: int = DEFAULT_BUDGET) -> Presentation
     if name in ("g12", "g13"):
         return _named(name)
     if match := _TYPEB_RE.match(name):
-        # int() refuses more digits than the interpreter's limit (0, or no
-        # such function, for none), so such an n is refused by its length.
-        limit = getattr(sys, "get_int_max_str_digits", int)()
+        # int() refuses more digits than the interpreter's limit, so such an
+        # n is refused by its length.
+        limit = int_digit_limit()
         if limit and len(match[1]) > limit:
             raise GarsideError(
                 f"typeb<n>: n has more than {limit} digits, the interpreter's "

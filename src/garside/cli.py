@@ -43,6 +43,7 @@ from .errors import (
     GarsideError,
     NonComposablePath,
     PeriodicityError,
+    int_digit_limit,
 )
 
 # The suites of `scenario`; a test checks this against scenarios._SCENARIOS.
@@ -176,8 +177,8 @@ def _cmd_regular(args: argparse.Namespace, budget: int) -> int:
     data = reflgroups.group_data(args.group)
     order = reflgroups.group_order(data)
     # json.dumps cannot print an int past the interpreter's int-to-str
-    # digit limit (0 means none), so such an order is refused up front.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # digit limit, so such an order is refused up front.
+    limit = int_digit_limit()
     if limit and order >= 10**limit:
         raise GarsideError(
             f"{data.name}: the group order has more than {limit} digits, "
@@ -381,7 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_typeb.add_argument(
         "--check-epsilon",
         action="store_true",
-        help="verify epsilon^n = delta (builds the structure; n <= 3)",
+        help="verify epsilon^n = delta (builds the structure; n <= 3 at the "
+        "default budget)",
     )
     p_typeb.add_argument("--wd", metavar="WORD", help="winding number of a signed word")
     p_typeb.add_argument(

@@ -64,10 +64,6 @@ def decompositions(g: GarsideStructure, m: int) -> list[tuple[int, ...]]:
     return _walk(g, m, 0)
 
 
-def twisted_shift(g: GarsideStructure, t: tuple[int, ...]) -> tuple[int, ...]:
-    return t[1:] + (g.phi_simple(t[0]),)
-
-
 def divided_set(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
     """D_m^n: decompositions of Delta fixed by the n-th twisted shift, in lex order.
 
@@ -412,7 +408,6 @@ class VertexGroupPresentation(
             "loop_edges",  # non-tree morphism ids, one loop generator each
             "loop_paths",  # base -> base conjugated loops
             "relators",  # words in signed 1-based loop references
-            "collapse_images",  # NormalForm of each loop path
         ],
     )
 ):
@@ -437,7 +432,11 @@ def _letter_counts(word: list[int]) -> dict[int, int]:
 
 
 def vertex_group(c: DividedCategory, base: int) -> VertexGroupPresentation:
-    """Contract the component of base to a one-object group presentation."""
+    """Contract the component of base to a one-object group presentation.
+
+    The loop paths are kept as paths: collapse maps one to the Garside
+    group, and a report collapses only the generators it prints.
+    """
     gens = c.generator_ids()
     parent = list(range(len(c.objects)))
 
@@ -487,20 +486,12 @@ def vertex_group(c: DividedCategory, base: int) -> VertexGroupPresentation:
             continue
         word = letters(lhs) + [-x for x in reversed(letters(rhs))]
         relators.append(_free_reduce(word))
-    images = [collapse(c, path) for path in loop_paths]
-    return VertexGroupPresentation(tree, loop_edges, loop_paths, relators, images)
+    return VertexGroupPresentation(tree, loop_edges, loop_paths, relators)
 
 
 class SimplifiedPresentation(
-    namedtuple(
-        "SimplifiedPresentation",
-        [
-            "generators",  # surviving loop indices (into loop_edges)
-            "relators",
-            # always False, as the pass always ends; reports keep the key
-            "inconclusive",
-        ],
-    )
+    # generators: the surviving loop indices (into loop_edges)
+    namedtuple("SimplifiedPresentation", ["generators", "relators"])
 ):
     __slots__ = ()
 
@@ -569,5 +560,5 @@ def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:
                 heapq.heappush(heap, j)
         gens.discard(x)
     return SimplifiedPresentation(
-        [x - 1 for x in sorted(gens)], [r for r in relators if r is not None], False
+        [x - 1 for x in sorted(gens)], [r for r in relators if r is not None]
     )

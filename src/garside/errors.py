@@ -8,9 +8,35 @@ Engine bugs raise plain AssertionError and are never caught.
 
 from __future__ import annotations
 
+import sys
+
 # Default per-stratum word cap.  Desk-scale inputs (three generators, Delta
 # of length at most nine) stay under it with room to spare.
 DEFAULT_BUDGET = 3**10
+
+
+def int_digit_limit() -> int:
+    """The interpreter's limit on the digits int() reads and str() writes.
+
+    0, or an interpreter without such a limit, means none.
+    """
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def number_text(n: int, unit: str = "") -> str:
+    """n >= 0 in decimal, followed by unit; past 30 digits, its digit count.
+
+    number_text(5, "words") is "5 words", and number_text(10**40, "words")
+    is "a 41-digit number of words", so an error message stays one short
+    line.  str() refuses ints of more digits than int_digit_limit(), so the
+    count starts from a lower bound read off the bit length.
+    """
+    if n < 10**30:
+        return f"{n} {unit}" if unit else str(n)
+    digits = max(1, int((n.bit_length() - 1) * 0.3010299956639812))
+    while 10**digits <= n:
+        digits += 1
+    return f"a {digits}-digit number" + (f" of {unit}" if unit else "")
 
 
 class GarsideError(Exception):
@@ -34,7 +60,7 @@ class BudgetExceeded(GarsideError):
 
     def __init__(self, what: str, budget: int) -> None:
         self.budget = budget
-        super().__init__(f"{what}, over the budget of {budget}")
+        super().__init__(f"{what}, over the budget of {number_text(budget)}")
 
 
 class AxiomViolation(GarsideError):

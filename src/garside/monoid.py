@@ -145,14 +145,6 @@ class GarsideStructure:
     def simple_length(self, a: int) -> int:
         return len(self.simples[a])
 
-    def left_divides(self, a: int, b: int) -> bool:
-        return bool(self.left_div_mask[b] >> a & 1)
-
-    def product_decomp(self, a: int, b: int) -> tuple[int, int]:
-        """The left-weighted pair (c, d) with c * d = a * b."""
-        e = self.split[a][b]
-        return self.product_table[a][e], self.residual_left[e][b]
-
     # -- phi ---------------------------------------------------------------
 
     @property

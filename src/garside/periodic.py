@@ -17,6 +17,7 @@ from collections import namedtuple
 from .divided import (
     DividedCategory,
     build_category,
+    collapse,
     components,
     simplify_presentation,
     vertex_group,
@@ -100,11 +101,13 @@ class CentralizerSummary(
             "relator_count",
             "cyclic",
             "generator_collapse",  # NormalForm of the one generator, else None
-            "inconclusive",
         ],
     )
 ):
     __slots__ = ()
+    # The Tietze pass always ends, so no summary is inconclusive; reports
+    # keep the key.
+    inconclusive = False
 
 
 class RootReport(
@@ -168,20 +171,20 @@ def roots_report(
 
 
 def centralizer_summary(cat: DividedCategory, base: int) -> CentralizerSummary:
+    """The vertex group at base, simplified, as the roots report gives it.
+
+    It is cyclic when at most one generator and no relator survive the
+    Tietze pass.  Only a single surviving generator is collapsed to the
+    Garside group, through its loop path.
+    """
     v = vertex_group(cat, base)
     simplified = simplify_presentation(v)
     image = None
     if len(simplified.generators) == 1:
-        image = v.collapse_images[simplified.generators[0]]
-    cyclic = (
-        not simplified.inconclusive
-        and len(simplified.generators) <= 1
-        and not simplified.relators
-    )
+        image = collapse(cat, v.loop_paths[simplified.generators[0]])
     return CentralizerSummary(
         generator_count=len(simplified.generators),
         relator_count=len(simplified.relators),
-        cyclic=cyclic,
+        cyclic=len(simplified.generators) <= 1 and not simplified.relators,
         generator_collapse=image,
-        inconclusive=simplified.inconclusive,
     )

@@ -31,7 +31,13 @@ from __future__ import annotations
 
 import re
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded, InhomogeneousPresentation, ParseError
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    InhomogeneousPresentation,
+    ParseError,
+    number_text,
+)
 
 Word = tuple[int, ...]
 
@@ -158,12 +164,12 @@ def require_homogeneous(p: Presentation) -> None:
 class CongruenceTable:
     """Canonical representatives of positive words.
 
-    Two words are congruent iff they share a representative.  Classes are
-    closed on first use; reps, the only state kept, maps every word closed
-    so far to the lexicographically least member of its class.  Both sides
-    of every relation are indexed by length, each side to the sides it
-    rewrites to, so a closure looks up each window of a word once per
-    distinct side length.
+    Two words are congruent iff they share a representative.  One method,
+    class_members, closes a class, and rep calls it on a miss; reps, the
+    only state kept, maps every word closed so far to the lexicographically
+    least member of its class.  Both sides of every relation are indexed by
+    length, each side to the sides it rewrites to, so a closure looks up
+    each window of a word once per distinct side length.
     """
 
     def __init__(self, presentation: Presentation) -> None:
@@ -176,10 +182,13 @@ class CongruenceTable:
 
     def rep(self, word: Word) -> Word:
         found = self.reps.get(word)
-        return self._close(word)[0] if found is None else found
+        return self.class_members(word)[0] if found is None else found
 
-    def _close(self, word: Word) -> list[Word]:
-        """The sorted members of word's class, each now mapped in reps."""
+    def class_members(self, word: Word) -> list[Word]:
+        """The sorted members of word's class, each now mapped in reps.
+
+        The class is closed again on every call, since only reps is kept.
+        """
         seen = {word}
         stack = [word]
         while stack:
@@ -195,40 +204,22 @@ class CongruenceTable:
         self.reps.update(dict.fromkeys(members, members[0]))
         return members
 
-    def class_members(self, word: Word) -> list[Word]:
-        """The sorted members of word's class, closed again on every call."""
-        return self._close(word)
-
 
 def check_strata(generators: int, max_length: int, budget: int) -> None:
     """Refuse a build on `generators` letters up to words of max_length.
 
     Raises BudgetExceeded for the first stratum up to max_length with more
     than budget words.  It reads only the two counts, so a generated
-    presentation can be refused before it is generated.  A count of more
-    than 30 digits is given by its number of digits.
+    presentation can be refused before it is generated.  The count and the
+    budget are written by number_text, so past 30 digits by their digits.
     """
     for length in range(1, max_length + 1):
         count = generators**length
         if count > budget:
-            words = (
-                f"{count} words"
-                if count < 10**30
-                else f"a {_decimal_digits(count)}-digit number of words"
+            raise BudgetExceeded(
+                f"stratum of length {length} has {number_text(count, 'words')}",
+                budget,
             )
-            raise BudgetExceeded(f"stratum of length {length} has {words}", budget)
-
-
-def _decimal_digits(n: int) -> int:
-    """The number of decimal digits of n >= 1.
-
-    str() refuses ints of more digits than the interpreter's limit, so the
-    count starts from a lower bound read off the bit length.
-    """
-    digits = max(1, int((n.bit_length() - 1) * 0.3010299956639812))
-    while 10**digits <= n:
-        digits += 1
-    return digits
 
 
 def congruence_classes(

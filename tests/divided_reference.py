@@ -24,10 +24,14 @@ from garside.divided import (
     DividedCategory,
     Morphism,
     divided_set as _divided_set,
-    twisted_shift,
 )
 from congruence_reference import word_lookup
 from garside.monoid import GarsideStructure
+
+
+def twisted_shift(g: GarsideStructure, t: tuple[int, ...]) -> tuple[int, ...]:
+    """sigma(a_1, ..., a_m) = (a_2, ..., a_m, phi(a_1))."""
+    return t[1:] + (g.phi_simple(t[0]),)
 
 
 def decompositions(g: GarsideStructure, m: int) -> list[tuple[int, ...]]:

@@ -9,6 +9,10 @@ from garside.errors import AxiomViolation
 from garside.monoid import GarsideStructure
 
 
+def left_divides(g: GarsideStructure, a: int, b: int) -> bool:
+    return bool(g.left_div_mask[b] >> a & 1)
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask

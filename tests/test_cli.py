@@ -359,6 +359,34 @@ def test_typeb_rank_of_many_digits_is_refused_in_one_short_line(capsys):
     assert len(err) < 200
 
 
+def test_budget_of_many_digits_is_refused_in_one_short_line(capsys):
+    rc, out, err = run(
+        capsys, "verify", "typeb" + "1" * 4300, "--budget", "9" * 4300
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: stratum of length 2 has a 8599-digit number of words, over the "
+        "budget of a 4300-digit number\n"
+    )
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "budget, text",
+    [
+        (59049, "59049"),
+        (10**30 - 1, "9" * 30),
+        (10**30, "a 31-digit number"),
+        (10**4299, "a 4300-digit number"),
+    ],
+)
+def test_budget_past_30_digits_is_given_by_its_digits(budget, text):
+    assert str(BudgetExceeded("D_6^0 has at least 2 tuples", budget)) == (
+        f"D_6^0 has at least 2 tuples, over the budget of {text}"
+    )
+
+
 @pytest.mark.parametrize(
     "generators, budget, stratum, words",
     [
@@ -377,8 +405,10 @@ def test_budget_gives_counts_past_30_digits_by_their_digits(
 
     with pytest.raises(BudgetExceeded) as caught:
         check_strata(generators, stratum, budget)
+    # A budget of more than 30 digits is given by its digits too.
+    budget_text = {10**4299: "a 4300-digit number"}.get(budget, budget)
     assert str(caught.value) == (
-        f"stratum of length {stratum} has {words}, over the budget of {budget}"
+        f"stratum of length {stratum} has {words}, over the budget of {budget_text}"
     )
 
 

@@ -38,7 +38,9 @@ def test_lazy_table_matches_reference(name):
     table = congruence_classes(p, len(p.delta_word))
     for w in words_up_to(len(p.generators), len(p.delta_word)):
         assert table.rep(w) == ref.rep(w)
-        assert table.class_members(w) == ref.class_members(w)
+    # class_members closes its class again on every call, so strata closes
+    # each class once, from its least word; the random presentations below
+    # close every class from each of its members.
     n, top = len(p.generators), len(p.delta_word)
     for length in range(top + 1):
         assert strata(table, n, length) == ref.classes(length)

@@ -22,7 +22,8 @@ from garside.presentation import (
     parse_presentation,
 )
 from garside.typeb import typeb_presentation
-from lattice_reference import bound_table
+from lattice_reference import bound_table, left_divides
+from nf_reference import product_decomp
 
 
 def test_verify_g12(g12):
@@ -61,7 +62,7 @@ def test_g13_length_profile(g13):
 
 def test_simples_divide_delta(g12):
     for a in range(len(g12.simples)):
-        assert g12.left_divides(a, g12.delta)
+        assert left_divides(g12, a, g12.delta)
         assert any(g12.simple_product(c, a) == g12.delta for c in range(len(g12.simples)))
 
 
@@ -136,7 +137,7 @@ def test_lattice_operations(g12, g13, b2, b3):
 def test_product_decomp_is_left_weighted(g12):
     for a in range(len(g12.simples)):
         for b in range(len(g12.simples)):
-            c, d = g12.product_decomp(a, b)
+            c, d = product_decomp(g12, a, b)
             assert g12.left_weighted(c, d)
             assert g12.simple_length(c) + g12.simple_length(d) == (
                 g12.simple_length(a) + g12.simple_length(b)
@@ -217,7 +218,7 @@ def test_left_weighted_mask_matches_atom_loop(any_structure):
         comp = g.left_complement[a]
         for b in range(n):
             expected = not any(
-                g.left_divides(x, comp) and g.left_divides(x, b) for x in g.atoms
+                left_divides(g, x, comp) and left_divides(g, x, b) for x in g.atoms
             )
             assert g.left_weighted(a, b) == expected, (a, b)
 

@@ -16,6 +16,7 @@ from garside.monoid import build_garside, verify_presentation
 from garside.presentation import Presentation, parse_presentation
 from garside.typeb import typeb_presentation
 from lattice_reference import bound_table
+from nf_reference import product_decomp
 
 SOURCES = ["g12", "g13", "typeb2", "typeb3", 1, 2, 3]
 
@@ -97,7 +98,7 @@ def _build_outcome(build, p: Presentation):
         g.left_complement,
         g._phi_powers,
         g.split,
-        [[g.product_decomp(a, b) for b in range(n)] for a in range(n)],
+        [[product_decomp(g, a, b) for b in range(n)] for a in range(n)],
         g._atom_nf,
     )
 

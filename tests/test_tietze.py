@@ -15,6 +15,7 @@ from garside.divided import (
     SimplifiedPresentation,
     VertexGroupPresentation,
     build_category,
+    collapse,
     simplify_presentation,
     vertex_group,
 )
@@ -22,15 +23,12 @@ from garside.periodic import candidate_root_orders, reduce_exponents
 
 
 def presentation(generators: int, relators: list[list[int]]) -> VertexGroupPresentation:
-    return VertexGroupPresentation([], list(range(generators)), [], relators, [])
+    return VertexGroupPresentation([], list(range(generators)), [], relators)
 
 
-def same(a: SimplifiedPresentation, b: SimplifiedPresentation) -> bool:
-    return (a.generators, a.relators, a.inconclusive) == (
-        b.generators,
-        b.relators,
-        b.inconclusive,
-    )
+def same(ours: SimplifiedPresentation, theirs: ref.BoundedResult) -> bool:
+    """ours equals the reference's result, which ended within its step bound."""
+    return (*ours, False) == theirs
 
 
 # The root categories C_p'^q' of the benchmark's categories pool and of the
@@ -43,20 +41,52 @@ def same(a: SimplifiedPresentation, b: SimplifiedPresentation) -> bool:
         ("typeb3", (1, 2, 4), set(), 6),
     ],
 )
-def test_vertex_groups_match_reference(name, powers, extra, count):
+def test_vertex_groups_match_reference(monkeypatch, name, powers, extra, count):
     g = bundled.get_structure(name)
     cases = set(extra)
     for zp in powers:
         for d in candidate_root_orders(g, zp):
             cases.add(reduce_exponents(d, zp))
+    collapsed = []
+
+    def counting(cat, path):
+        collapsed.append(path)
+        return collapse(cat, path)
+
+    monkeypatch.setattr(periodic, "collapse", counting)
     checked = 0
     for p, q in sorted(cases):
         cat = build_category(g, p, q)
         if cat.objects:
             v = vertex_group(cat, 0)
-            assert same(simplify_presentation(v), ref.simplify_presentation(v)), (p, q)
+            simplified = simplify_presentation(v)
+            assert same(simplified, ref.simplify_presentation(v)), (p, q)
+            # The summary collapses the one surviving generator, and only it.
+            collapsed.clear()
+            summary = periodic.centralizer_summary(cat, 0)
+            paths = [v.loop_paths[x] for x in simplified.generators]
+            assert collapsed == (paths if len(paths) == 1 else []), (p, q)
+            assert summary == (
+                len(simplified.generators),
+                len(simplified.relators),
+                len(paths) <= 1 and not simplified.relators,
+                collapse(cat, paths[0]) if len(paths) == 1 else None,
+            ), (p, q)
             checked += 1
     assert checked == count
+
+
+def test_summary_collapses_the_generator_that_survives(monkeypatch):
+    # Every single survivor above is loop 0; in g12's C_2^3, loop 1 collapses
+    # to 1 and loop 0 to s t u, so a summary of loop 1 tells them apart.
+    cat = build_category(bundled.get_structure("g12"), 2, 3)
+    v = vertex_group(cat, 0)
+    monkeypatch.setattr(
+        periodic, "simplify_presentation", lambda v: SimplifiedPresentation([1], [])
+    )
+    summary = periodic.centralizer_summary(cat, 0)
+    assert summary.generator_collapse == collapse(cat, v.loop_paths[1])
+    assert summary.generator_collapse != collapse(cat, v.loop_paths[0])
 
 
 def _relator_lists(generators):
@@ -79,7 +109,7 @@ def test_random_presentations_match_reference(case):
 
 def test_empty_presentation_is_conclusive(monkeypatch):
     empty = presentation(0, [])
-    assert same(simplify_presentation(empty), SimplifiedPresentation([], [], False))
+    assert simplify_presentation(empty) == SimplifiedPresentation([], [])
     # The reference's step bound 10 * (generators + relators) is 0 here.
     assert ref.simplify_presentation(empty).inconclusive
     monkeypatch.setattr(periodic, "vertex_group", lambda cat, base: empty)
@@ -92,9 +122,9 @@ def test_step_rewrites_only_the_relators_holding_the_generator():
     # The second relator is the first with a generator occurring once, and 3
     # is the largest; 3 = 2 1^-1 goes into the third relator only.
     v = presentation(3, [[1, 2, 1, 2], [3, 1, -2], [3, 3, 2]])
-    expected = SimplifiedPresentation([0, 1], [[1, 2, 1, 2], [2, -1, 2, -1, 2]], False)
-    assert same(simplify_presentation(v), expected)
-    assert same(ref.simplify_presentation(v), expected)
+    expected = SimplifiedPresentation([0, 1], [[1, 2, 1, 2], [2, -1, 2, -1, 2]])
+    assert simplify_presentation(v) == expected
+    assert same(expected, ref.simplify_presentation(v))
 
 
 # typeb3 C_2^2: 2,355 loop generators and 26,756 relators.  The literals were
@@ -107,10 +137,12 @@ _C22_SCRIPT = """
 import hashlib, json
 from garside import bundled
 from garside.divided import build_category, simplify_presentation, vertex_group
+from garside.periodic import CentralizerSummary
 v = vertex_group(build_category(bundled.get_structure("typeb3"), 2, 2), 0)
 s = simplify_presentation(v)
 digest = hashlib.sha256(json.dumps(s.relators).encode()).hexdigest()
-print(json.dumps([len(v.loop_edges), s.generators, len(s.relators), digest, s.inconclusive]))
+flag = CentralizerSummary.inconclusive
+print(json.dumps([len(v.loop_edges), s.generators, len(s.relators), digest, flag]))
 """
 
 

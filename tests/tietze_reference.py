@@ -4,19 +4,21 @@ The original bounded loop: every step recounts every generator in every
 relator to find the first relator with a generator occurring once, and
 re-reduces every relator after the substitution.  It stops after
 10 * (generators + relators) steps and then reports itself inconclusive,
-which it also does on the empty presentation, where that bound is 0.
-Its cost is quadratic in the presentation size, so the largest vertex
-groups are checked against frozen literals instead.
+which it also does on the empty presentation, where that bound is 0.  The
+package's pass always ends and has no such flag, so the reference returns
+its own record with the flag as a third field.  Its cost is quadratic in
+the presentation size, so the largest vertex groups are checked against
+frozen literals instead.
 """
 
-from garside.divided import (
-    SimplifiedPresentation,
-    VertexGroupPresentation,
-    _free_reduce,
-)
+from collections import namedtuple
+
+from garside.divided import VertexGroupPresentation, _free_reduce
+
+BoundedResult = namedtuple("BoundedResult", ["generators", "relators", "inconclusive"])
 
 
-def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:
+def simplify_presentation(v: VertexGroupPresentation) -> BoundedResult:
     """Bounded Tietze reduction: free-reduce and eliminate isolated generators."""
     gens = set(range(1, len(v.loop_edges) + 1))
     relators = [r for r in (_free_reduce(list(r)) for r in v.relators) if r]
@@ -31,9 +33,7 @@ def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:
                 target = (ri, max(once))
                 break
         if target is None:
-            return SimplifiedPresentation(
-                [x - 1 for x in sorted(gens)], relators, False
-            )
+            return BoundedResult([x - 1 for x in sorted(gens)], relators, False)
         ri, x = target
         rel = relators.pop(ri)
         pos = next(i for i, y in enumerate(rel) if abs(y) == x)
@@ -58,4 +58,4 @@ def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:
                 replaced.append(word)
         relators = replaced
         gens.discard(x)
-    return SimplifiedPresentation([x - 1 for x in sorted(gens)], relators, True)
+    return BoundedResult([x - 1 for x in sorted(gens)], relators, True)
