@@ -16,7 +16,8 @@ ordering; diagnostics go to stderr.  Exit status: 0 when every check
 passes, 1 when a verification claim fails, 2 for input or environment
 problems (unreadable source, bad arguments, enumeration budget).  The
 enumeration budget is set by ``--budget`` alone; it caps each word stratum
-of a structure's build and each divided set enumerated over it.
+of a structure's build, each divided set enumerated over it, and the length
+of the Delta a ``typeb`` listing writes.
 
 Word arguments use the ``.gar`` token syntax, whitespace-separated, with
 an optional ``^-1`` suffix per letter for inverses.
@@ -44,6 +45,7 @@ from .errors import (
     NonComposablePath,
     PeriodicityError,
     int_digit_limit,
+    number_text,
 )
 
 # The suites of `scenario`; a test checks this against scenarios._SCENARIOS.
@@ -224,11 +226,19 @@ def _cmd_typeb(args: argparse.Namespace, budget: int) -> int:
     from .monoid import build_garside
     from .presentation import _parse_signed_word, check_strata
 
-    if args.check_epsilon and args.n >= 1:
+    if args.n >= 1:
         # Refuse an over-budget rank before generating its n(n-1)/2
-        # relations: the strata need only n and |delta| = n^2.  A rank
-        # below 1 is left to typeb_presentation's own error.
-        check_strata(args.n, args.n * args.n, budget)
+        # relations: the strata need only n and |delta| = n^2, and the
+        # listing alone holds delta's n^2 letters.  A rank below 1 is left
+        # to typeb_presentation's own error.
+        if args.check_epsilon:
+            check_strata(args.n, args.n * args.n, budget)
+        if args.n * args.n > budget:
+            raise BudgetExceeded(
+                f"the delta of {number_text(args.n, 'generators')} has "
+                f"{number_text(args.n * args.n, 'letters')}",
+                budget,
+            )
     p = typeb.typeb_presentation(args.n)
     payload: dict = {
         "schema": 1,
@@ -407,7 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.budget < 1:
-            raise GarsideError(f"budget must be positive, got {args.budget}")
+            raise GarsideError(
+                f"budget must be positive, got {number_text(args.budget)}"
+            )
         return args.handler(args, args.budget)
     except (AxiomViolation, PeriodicityError, NonComposablePath) as exc:
         print(f"error: {exc}", file=sys.stderr)

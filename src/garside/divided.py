@@ -2,21 +2,22 @@
 
 D_m^n is the set of m-tuples of simples with ordered product Delta, fixed by
 the n-th power of the twisted shift sigma(a_1,...,a_m) = (a_2,...,a_m,
-phi(a_1)).  The index shift i -> (i+n) mod m has c = gcd(m,n) orbits, the
-classes of i mod c, so a tuple fixed by sigma^n is determined by its first c
-entries: entry i is a fixed phi-power of entry i mod c, and the free entries
-are fixed by phi^(n/c) and split length(Delta)*c/m between them.  One
-depth-first walk enumerates D_m^n: it picks each free entry, in ascending
-id, among the phi^(n/c)-fixed left divisors of the part of Delta still left
-(the running residual) whose length fits the free length still left, then
-checks the determined entries against the residual one at a time and keeps
-the tuple when the residual reaches 1.  The free choices (a, a \\ x) at a
-residual x are split from its bitmask once per walk, and a walk with only
-free entries emits its last two entries for all of x's choices at once.  Its
-work follows the tuples kept and the prefixes cut, not the number of length
-combinations.  It raises BudgetExceeded once it has kept more tuples than
-the budget the structure was built under.  With n = 0 every entry is free
-and the walk lists all decompositions of Delta.
+phi(a_1)).  With c = gcd(m,n), the index shift i -> (i+n) mod m moves blocks
+of c entries whole, as c divides m and n: block j of a fixed tuple is
+phi^(e_j) of block 0, the e_j read off the orbit of index 0.  So block 0
+multiplies to an end b, a phi^(n/c)-fixed simple of length length(Delta)*c/m
+with b phi^(e_1)(b) ... phi^(e_(m/c-1))(b) = Delta, and its entries are
+phi^(n/c)-fixed.  One depth-first walk enumerates D_m^n: for each end in
+ascending id it picks each entry of block 0, in ascending id, among the
+phi^(n/c)-fixed left divisors of the part of the end still left (the running
+residual), and the last entry is the residual itself.  The choices (a, a \\ x)
+at a residual x are split from its bitmask once per walk, and the walk emits
+the last two entries for all of x's choices at once.  Its work follows the
+tuples kept and the prefixes cut.  Each kept block 0 is expanded by the
+phi-powers of the other blocks, and runs of several ends are merged into lex
+order by one sort.  The walk raises BudgetExceeded once it has kept more
+tuples than the budget the structure was built under.  With n = 0 the only
+end is Delta, and the walk lists all decompositions of Delta.
 
 C_p^q has objects D_p^q, generating morphisms D_2p^2q, and relations induced
 by D_3p^3q (each 3p-tuple yields a composable triple f;g = h).  The assembly
@@ -67,11 +68,11 @@ def decompositions(g: GarsideStructure, m: int) -> list[tuple[int, ...]]:
 def divided_set(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
     """D_m^n: decompositions of Delta fixed by the n-th twisted shift, in lex order.
 
-    The walk chooses the first gcd(m, n) entries among phi^(n/gcd)-fixed left
-    divisors of the running residual of Delta, then checks the entries they
-    determine.  D_m^0 is decompositions(g, m).  A set with more tuples than
-    g.budget raises BudgetExceeded, and one whose gcd(m, n) nested choices
-    pass the recursion limit raises GarsideError.
+    Block 0, the first gcd(m, n) entries, decomposes an end of Delta into
+    phi^(n/gcd)-fixed simples, and every other block is a phi-power of it.
+    D_m^0 is decompositions(g, m).  A set with more tuples than g.budget
+    raises BudgetExceeded, naming budget + 1, and one whose gcd(m, n) nested
+    choices pass the recursion limit raises GarsideError.
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
@@ -79,9 +80,10 @@ def divided_set(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
 
 
 def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
-    """Depth-first walk of D_m^n; ascending ids at the free entries give lex order."""
+    """Depth-first walk of D_m^n: block 0 under each end, then its phi-powers."""
     cycles = math.gcd(m, n)
-    free_length, rem = divmod(g.delta_length * cycles, m)
+    blocks = m // cycles
+    length, rem = divmod(g.delta_length, blocks)
     if rem:
         return []
     out_of_reach = (
@@ -92,86 +94,53 @@ def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
         # The identity fits every free entry, so the walk would nest that
         # deep; checked before anything of length m is allocated.
         raise GarsideError(out_of_reach)
-    # Entry i is phi^exponent[i] of entry i mod cycles: sigma^n-fixedness
-    # reads t_j = phi^(-((i+n)//m))(t_i) for j = (i+n) mod m.
-    exponent = [0] * m
-    for base in range(cycles):
-        i = base
-        while (j := (i + n) % m) != base:
-            exponent[j] = exponent[i] - (i + n) // m
-            i = j
-    determined = [
-        (g.phi_power_perm(exponent[i]), i % cycles) for i in range(cycles, m)
-    ]
-    fixed = sum(1 << a for a in g.phi_fixed_simples(n // cycles))
-    exactly = [0] * (g.delta_length + 1)
-    for a, word in enumerate(g.simples):
-        exactly[len(word)] |= 1 << a
-    at_most = exactly[:]
-    for k in range(1, len(at_most)):
-        at_most[k] |= at_most[k - 1]
-    # The free entries come first, so while they are chosen the residual x
-    # still holds the determined entries' share of Delta, and the free length
-    # left is len(x) - reserved.  A free entry is a phi^(n/cycles)-fixed left
-    # divisor of x that fits in it; the last one fills it exactly.
-    reserved = g.delta_length - free_length
-    room = [len(word) - reserved for word in g.simples]
-    fits = [
-        d & fixed & at_most[k] if k >= 0 else 0 for d, k in zip(g.left_div_mask, room)
-    ]
-    fills = [
-        d & fixed & exactly[k] if k >= 0 else 0 for d, k in zip(g.left_div_mask, room)
-    ]
-    residual = g.residual_left
-    last = cycles - 1
-    # The walk recurses down to `stop`.  There a determined walk closes the
-    # tuple; an all-free one has each child (a, a \ x) of x as its last
-    # two entries, or Delta as its only entry when m = 1.  Nothing follows
-    # the last entry, so it is the residual itself; phi^(n/cycles) fixes it,
-    # as it fixes Delta and the others.
-    stop = last if determined else max(last - 1, 0)
-    out: list[tuple[int, ...]] = []
-    entries: list[int] = []
-    # x -> its free choices (a, a \ x), split from fits[x] on the first visit.
-    choices: list[list[tuple[int, int]] | None] = [None] * len(g.simples)
-
-    def close(x: int) -> None:
-        # The last free entry fills what is left of the free length; the
-        # entries after it have no choice left, only a check.
-        mask = fills[x]
-        while mask:
-            low = mask & -mask
-            a = low.bit_length() - 1
-            mask ^= low
-            entries.append(a)
-            tail: list[int] = []
-            y = residual[a][x]
-            for perm, base in determined:
-                b = perm[entries[base]]
-                y = residual[b][y]
+    # Block j is phi^exponent[j] of block 0.  sigma^n-fixedness reads
+    # t_k = phi^(-((i+n)//m))(t_i) for k = (i+n) mod m; as cycles divides m
+    # and n, a step moves blocks whole, and the orbit of 0 meets block j
+    # once, at t*n mod m after t steps and floor(t*n/m) wraps.
+    exponent = [0] * blocks
+    for t in range(1, blocks):
+        exponent[t * n % m // cycles] = -(t * n // m)
+    perms = list(map(g.phi_power_perm, exponent[1:]))
+    fixed = g.phi_fixed_simples(n // cycles)
+    # An end b, the product of block 0, has b phi^e_1(b) ... = Delta.
+    ends = []
+    for b in fixed:
+        if len(g.simples[b]) == length:
+            y = b
+            for perm in perms:
+                y = g.product_table[y][perm[b]]
                 if y is None:
                     break
-                tail.append(b)
             else:
-                if y == g.identity:
-                    out.append(tuple(entries + tail))
-            entries.pop()
+                if y == g.delta:
+                    ends.append(b)
+    fixed_mask = sum(1 << a for a in fixed)
+    last = cycles - 1
+    # The walk recurses down to `stop`, where each child (a, a \ x) of x is
+    # the block's last two entries, or x its only entry when cycles = 1.
+    # Nothing follows the last entry, so it is the residual itself;
+    # phi^(n/cycles) fixes it, as it fixes the end and the others.
+    stop = max(last - 1, 0)
+    out: list[tuple[int, ...]] = []
+    entries: list[int] = []
+    # x -> its choices (a, a \ x), split from its fixed left divisors on the
+    # first visit.
+    choices: list[list[tuple[int, int]] | None] = [None] * len(g.simples)
 
     def step(i: int, x: int) -> None:
-        if determined and i == last:
-            close(x)
-        elif i == last:
+        if i == last:
             out.append((x,))
         else:
             kids = choices[x]
             if kids is None:
                 kids = choices[x] = []
-                mask = fits[x]
+                mask = g.left_div_mask[x] & fixed_mask
                 while mask:
                     low = mask & -mask
                     a = low.bit_length() - 1
                     mask ^= low
-                    kids.append((a, residual[a][x]))
+                    kids.append((a, g.residual_left[a][x]))
             if i < stop:
                 for a, y in kids:
                     entries.append(a)
@@ -182,13 +151,13 @@ def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
             for kid in kids:
                 out.append(prefix + kid)
         if len(out) > g.budget:
-            # An all-free walk names the first count over the budget; a
-            # determined one, the count after the close that passed it.
-            kept = len(out) if determined else g.budget + 1
-            raise BudgetExceeded(f"D_{m}^{n} has at least {kept} tuples", g.budget)
+            raise BudgetExceeded(
+                f"D_{m}^{n} has at least {g.budget + 1} tuples", g.budget
+            )
 
     try:
-        step(0, g.delta)
+        for end in ends:
+            step(0, end)
     except RecursionError:
         raise GarsideError(out_of_reach) from None
     finally:
@@ -196,6 +165,13 @@ def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
         # that cycle, so out is freed with its last caller, not by the
         # cycle collector.
         del step
+    if len(ends) > 1:
+        # Block 0 leads and fixes the rest; each end's run is in lex order.
+        out.sort()
+    if perms:
+        cols = list(zip(*out))
+        images = [map(perm.__getitem__, col) for perm in perms for col in cols]
+        out = list(zip(*cols, *images))
     return out
 
 

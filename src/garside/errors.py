@@ -24,13 +24,16 @@ def int_digit_limit() -> int:
 
 
 def number_text(n: int, unit: str = "") -> str:
-    """n >= 0 in decimal, followed by unit; past 30 digits, its digit count.
+    """n in decimal, followed by unit; past 30 digits, its digit count.
 
     number_text(5, "words") is "5 words", and number_text(10**40, "words")
     is "a 41-digit number of words", so an error message stays one short
-    line.  str() refuses ints of more digits than int_digit_limit(), so the
-    count starts from a lower bound read off the bit length.
+    line.  A negative n is a minus sign followed by the text of -n.  str()
+    refuses ints of more digits than int_digit_limit(), so the count starts
+    from a lower bound read off the bit length.
     """
+    if n < 0:
+        return "-" + number_text(-n, unit)
     if n < 10**30:
         return f"{n} {unit}" if unit else str(n)
     digits = max(1, int((n.bit_length() - 1) * 0.3010299956639812))

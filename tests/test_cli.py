@@ -336,6 +336,37 @@ def test_large_typeb_rank_is_refused_before_it_is_generated(argv, n, stratum):
     assert done.stderr == f"error: {stratum}, over the budget of 59049\n"
 
 
+@pytest.mark.parametrize("n", [3000, 100000])
+def test_typeb_listing_past_the_budget_is_refused_before_it_is_generated(n):
+    # Without --check-epsilon the listing holds n(n-1)/2 relations and a
+    # delta of n^2 letters; -n 3000 ran for more than 20 s when unbounded.
+    env = dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "garside.cli", "typeb", "-n", str(n)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=5,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: the delta of {n} generators has {n * n} letters, over the "
+        "budget of 59049\n"
+    )
+
+
+def test_typeb_listing_is_capped_at_delta_length(capsys):
+    rc, out, _ = run(capsys, "typeb", "-n", "3", "--budget", "9")
+    assert rc == 0
+    assert json.loads(out)["delta"] == "b1 b2 b3 b1 b2 b3 b1 b2 b3"
+    rc, out, err = run(capsys, "typeb", "-n", "3", "--budget", "8")
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: the delta of 3 generators has 9 letters, over the budget of 8\n"
+    )
+
+
 def test_typeb_rank_past_the_int_digit_limit_is_refused_by_name(capsys):
     # int() of more digits than the interpreter's limit fails with Python's
     # own message; the resolver refuses such an n before reading it.
@@ -369,6 +400,25 @@ def test_budget_of_many_digits_is_refused_in_one_short_line(capsys):
         "error: stratum of length 2 has a 8599-digit number of words, over the "
         "budget of a 4300-digit number\n"
     )
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "budget, text",
+    [
+        ("0", "0"),
+        ("-5", "-5"),
+        ("-" + "9" * 30, "-" + "9" * 30),
+        ("-1" + "0" * 30, "-a 31-digit number"),
+        ("-" + "9" * 4300, "-a 4300-digit number"),
+    ],
+    ids=["0", "-5", "-30-digits", "-31-digits", "-4300-digits"],
+)
+def test_non_positive_budget_is_refused_in_one_short_line(capsys, budget, text):
+    rc, out, err = run(capsys, "verify", "g12", "--budget", budget)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: budget must be positive, got {text}\n"
     assert len(err) < 200
 
 
