@@ -16,8 +16,9 @@ ordering; diagnostics go to stderr.  Exit status: 0 when every check
 passes, 1 when a verification claim fails, 2 for input or environment
 problems (unreadable source, bad arguments, enumeration budget).  The
 enumeration budget is set by ``--budget`` alone; it caps each word stratum
-of a structure's build, each divided set enumerated over it, and the length
-of the Delta a ``typeb`` listing writes.
+of a structure's build, each divided set enumerated over it, the length
+of the Delta a ``typeb`` listing writes, and the trial divisions that list
+a group's regular numbers.
 
 Word arguments use the ``.gar`` token syntax, whitespace-separated, with
 an optional ``^-1`` suffix per letter for inverses.
@@ -196,9 +197,10 @@ def _cmd_regular(args: argparse.Namespace, budget: int) -> int:
         "center_order": reflgroups.center_order(data),
     }
     if args.d is not None:
-        payload["report"] = _regularity_payload(reflgroups.regularity(data, args.d))
+        report = reflgroups.regularity(data, args.d, budget)
+        payload["report"] = _regularity_payload(report)
     else:
-        reports = _regular_reports(data)
+        reports = _regular_reports(data, budget)
         payload["regular_numbers"] = [rep.d for rep in reports]
         payload["reports"] = [_regularity_payload(rep) for rep in reports]
     _emit(payload)
@@ -331,8 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="cap on the words of each stratum of a build and on the tuples "
-        f"of each divided set (default {DEFAULT_BUDGET})",
+        help="cap on the words of each stratum of a build, the tuples of each "
+        f"divided set and the trial divisions of regular (default {DEFAULT_BUDGET})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

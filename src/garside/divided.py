@@ -473,16 +473,26 @@ class SimplifiedPresentation(
 
 
 def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:
-    """Indexed Tietze pass: free-reduce, then eliminate generators occurring once.
+    """Lazy indexed Tietze pass: free-reduce, then eliminate generators occurring once.
 
     Each step takes the first relator, in list order, that has a generator x
-    occurring once, drops it, and substitutes x's image into the relators that
-    hold x, free-reducing them and dropping any that become empty; x is the
-    largest such generator of that relator.  Relators keep their list index,
-    a min-heap holds the indices of relators that may have such a generator,
-    and each generator lists the relators it was put into, so a step touches
-    only the relators that hold x.  The image of x does not contain x, so
-    every step removes a generator for good and the pass always ends.
+    occurring once, drops it, and eliminates x, the largest such generator of
+    that relator, by its image in the other generators.  Relators keep their
+    list index, a min-heap holds the indices of relators that may have such a
+    generator, and each generator lists the relators it was put into, so a
+    step touches only the relators that hold x.  It does not rewrite them: it
+    marks them pending and pushes them.  A pending relator takes every
+    substitution made since its last rewrite in one pass when the heap next
+    pops it, and is then free-reduced, recounted, and dropped if empty; the
+    heap ends empty, so no relator is left pending.  An eliminated
+    generator's image is kept resolved in the surviving generators; it is
+    resolved again, free-reduced and stored back only once one of its own
+    generators has gone.  Substitution is a free-group homomorphism and free
+    reduction is confluent, so a relator reaches the word that substituting
+    one generator at a time gives, and since every pending relator is on the
+    heap, each step picks the same relator and generator as rewriting every
+    holder at once would.  The image of x does not contain x, so every step
+    removes a generator for good and the pass always ends.
     """
     relators: list[list[int] | None] = [
         r for r in (_free_reduce(list(r)) for r in v.relators) if r
@@ -495,8 +505,65 @@ def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:
             holders.setdefault(y, []).append(i)
     heap = [i for i, c in enumerate(counts) if 1 in c.values()]
     gens = set(range(1, len(v.loop_edges) + 1))
+    pending: set[int] = set()
+    # Eliminated generator x (and -x) -> its image (the inverse image), and
+    # checked[x] the number of eliminations when the image was last known
+    # to use only survivors.
+    images: dict[int, list[int]] = {}
+    checked: dict[int, int] = {}
+    step = 0
+
+    def resolve(x: int) -> None:
+        # Depth first without recursion: an image names only generators
+        # eliminated after its own, so the chains end, but may be long.  By
+        # the time an image is expanded, the images it names are current.
+        stack = [x]
+        while stack:
+            y = stack[-1]
+            if checked[y] == step:
+                stack.pop()
+                continue
+            gone = {abs(z) for z in images[y] if z in images}
+            stale = [z for z in gone if checked[z] != step]
+            if stale:
+                stack.extend(stale)
+                continue
+            stack.pop()
+            checked[y] = step
+            if gone:
+                image = images[y] = expand(images[y])
+                images[-y] = [-z for z in reversed(image)]
+
+    def expand(word: list[int]) -> list[int]:
+        out: list[int] = []
+        for y in word:
+            image = images.get(y)
+            if image is None:
+                out.append(y)
+                continue
+            if checked[abs(y)] != step:
+                resolve(abs(y))
+                image = images[y]
+            out.extend(image)
+        return _free_reduce(out)
+
+    def rewrite(j: int) -> None:
+        word = expand(relators[j])
+        if not word:
+            relators[j] = counts[j] = None
+            return
+        old = counts[j]
+        relators[j] = word
+        counts[j] = new = _letter_counts(word)
+        for y in new:
+            if y not in old:
+                holders[y].append(j)
+
     while heap:
         ri = heapq.heappop(heap)
+        if ri in pending:
+            pending.remove(ri)
+            rewrite(ri)
         c = counts[ri]
         if c is None or 1 not in c.values():
             continue
@@ -510,30 +577,15 @@ def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:
             image = [-y for y in reversed(before)] + [-y for y in reversed(after)]
         else:
             image = after + before
-        inverse = [-y for y in reversed(image)]
+        step += 1
+        images[x] = image
+        images[-x] = [-y for y in reversed(image)]
+        checked[x] = step
         for j in holders.pop(x):
-            old = counts[j]
-            if old is None or x not in old:
-                continue  # dropped, or x already substituted
-            word: list[int] = []
-            for y in relators[j]:
-                if y == x:
-                    word.extend(image)
-                elif y == -x:
-                    word.extend(inverse)
-                else:
-                    word.append(y)
-            word = _free_reduce(word)
-            if not word:
-                relators[j] = counts[j] = None
-                continue
-            relators[j] = word
-            counts[j] = new = _letter_counts(word)
-            for y in new:
-                if y not in old:
-                    holders[y].append(j)
-            if 1 in new.values():
-                heapq.heappush(heap, j)
+            if j in pending or counts[j] is None or x not in counts[j]:
+                continue  # already pending, dropped, or x already substituted
+            pending.add(j)
+            heapq.heappush(heap, j)
         gens.discard(x)
     return SimplifiedPresentation(
         [x - 1 for x in sorted(gens)], [r for r in relators if r is not None]

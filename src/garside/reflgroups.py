@@ -19,7 +19,7 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import GarsideError, UnknownGroup
+from .errors import BudgetExceeded, GarsideError, UnknownGroup, number_text
 
 # Sanity anchors for the bundled table: these two rows are used so often in
 # tests and scenarios that a corrupted data file should fail at load time,
@@ -208,7 +208,9 @@ def _divisible(data: GroupData, d: int) -> tuple[tuple[int, ...], tuple[int, ...
     )
 
 
-def regularity(data: GroupData, d: int) -> RegularityReport:
+def regularity(
+    data: GroupData, d: int, budget: int | None = None
+) -> RegularityReport:
     """Decide whether d is a regular number for the group.
 
     d is regular exactly when it divides as many degrees as codegrees
@@ -216,25 +218,40 @@ def regularity(data: GroupData, d: int) -> RegularityReport:
     For regular d the report also carries the regularity class: all regular
     e cutting out the same divisible degrees and codegrees as d, together
     with the class member dividing all others when such a member exists.
+    Listing that class lists the regular numbers, under the budget given.
     """
     if d < 1:
         raise GarsideError(f"regularity is defined for positive d, got {d}")
     a, b = _divisible(data, d)
     if len(a) != len(b):
         return RegularityReport(d, a, b, False, None, None, None)
-    members = tuple(e for e in regular_numbers(data) if _divisible(data, e) == (a, b))
+    members = tuple(
+        e for e in regular_numbers(data, budget) if _divisible(data, e) == (a, b)
+    )
     minimum = next(
         (e for e in members if all(other % e == 0 for other in members)), None
     )
     return RegularityReport(d, a, b, True, math.gcd(*(a + b)), members, minimum)
 
 
-def regular_numbers(data: GroupData) -> tuple[int, ...]:
+def regular_numbers(data: GroupData, budget: int | None = None) -> tuple[int, ...]:
     """All regular d, in ascending order.
 
     The codegree 0 is divisible by every d, so a regular d divides at least
-    one degree: the candidates are the divisors of the degrees.
+    one degree: the candidates are the divisors of the degrees, found by
+    trial division up to the square root of each.  Given a budget, a largest
+    degree whose square root is over it raises BudgetExceeded before any
+    division.
     """
+    if budget is not None:
+        degree = max(data.degrees)
+        steps = math.isqrt(degree)
+        if steps > budget:
+            raise BudgetExceeded(
+                f"{data.name}: the divisors of the degree {number_text(degree)} "
+                f"take {number_text(steps, 'trial divisions')}",
+                budget,
+            )
     return _regular_numbers(data)
 
 
@@ -253,8 +270,10 @@ def _regular_numbers(data: GroupData) -> tuple[int, ...]:
     return tuple(d for d, a, b in filters if len(a) == len(b))
 
 
-def _regular_reports(data: GroupData) -> list[RegularityReport]:
-    return [regularity(data, d) for d in regular_numbers(data)]
+def _regular_reports(
+    data: GroupData, budget: int | None = None
+) -> list[RegularityReport]:
+    return [regularity(data, d) for d in regular_numbers(data, budget)]
 
 
 def _regularity_payload(report: RegularityReport) -> dict:

@@ -184,6 +184,45 @@ def test_regular_with_an_unprintable_order_emits_no_report(capsys):
     )
 
 
+def test_regular_numbers_past_the_budget_are_refused_before_any_division():
+    # Listing the divisors of the degree 2 * 10^20 by trial division up to
+    # its square root ran for more than 10 s; the budget reads only that root.
+    env = dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parents[1]))
+    group = "G(100000000000000000000,1,2)"
+    done = subprocess.run(
+        [sys.executable, "-m", "garside.cli", "regular", group],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=5,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: G(100000000000000000000,1,2): the divisors of the degree "
+        "200000000000000000000 take 14142135623 trial divisions, over the "
+        "budget of 59049\n"
+    )
+
+
+def test_regular_numbers_budget_is_the_square_root_of_the_largest_degree(capsys):
+    # G(12,12,2) has degrees 2 and 12, and isqrt(12) = 3.
+    rc, out, _ = run(capsys, "regular", "G(12,12,2)", "--budget", "3")
+    assert rc == 0
+    assert json.loads(out)["regular_numbers"] == [1, 2, 3, 4, 6, 12]
+    refusal = (
+        "error: G(12,12,2): the divisors of the degree 12 take 3 trial "
+        "divisions, over the budget of 2\n"
+    )
+    for argv in ([], ["-d", "3"]):
+        rc, out, err = run(capsys, "regular", "G(12,12,2)", *argv, "--budget", "2")
+        assert (rc, out, err) == (2, "", refusal)
+    # A d that is not regular lists no regularity class, so nothing is refused.
+    rc, out, _ = run(capsys, "regular", "G(12,12,2)", "-d", "5", "--budget", "2")
+    assert rc == 0
+    assert json.loads(out)["report"]["regular"] is False
+
+
 def _cap_address_space():
     # A walk that allocates per entry before it checks its reach asks for
     # about 800 GB on -p 100000000000 -q 100000000000; under the cap it

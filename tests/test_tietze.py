@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import garside
-from garside import bundled, periodic
+from garside import bundled, divided, periodic
 from garside.divided import (
     SimplifiedPresentation,
     VertexGroupPresentation,
@@ -105,6 +105,59 @@ def test_random_presentations_match_reference(case):
     generators, relators = case
     v = presentation(generators, relators)
     assert same(simplify_presentation(v), ref.simplify_presentation(v))
+
+
+def _triangles(generators, relators):
+    gen = st.integers(1, generators)
+    return st.lists(st.tuples(gen, gen, gen), min_size=relators, max_size=relators)
+
+
+triangle_presentations = st.tuples(st.integers(3, 60), st.integers(0, 120)).flatmap(
+    lambda km: st.tuples(st.just(km[0]), _triangles(*km))
+)
+
+
+# Relators f g h^-1 chain eliminations through many images, at sizes where the
+# quadratic reference is too slow, so the indexed reference checks them.
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(triangle_presentations)
+def test_triangle_presentations_match_indexed_reference(case):
+    generators, triangles = case
+    v = presentation(generators, [[f, g, -h] for f, g, h in triangles])
+    assert simplify_presentation(v) == ref.simplify_indexed(v)
+
+
+@pytest.mark.parametrize("name, p, q", [("typeb2", 4, 4), ("typeb3", 2, 2)])
+def test_large_vertex_groups_match_indexed_reference(name, p, q):
+    v = vertex_group(build_category(bundled.get_structure(name), p, q), 0)
+    assert simplify_presentation(v) == ref.simplify_indexed(v)
+
+
+def test_deep_image_chain_resolves_without_recursion():
+    # Relator k eliminates N+2-k by N+1-k, so the last relator's N+1 resolves
+    # to 1 only through a chain of N images, deeper than the recursion limit.
+    n = 3000
+    chain = [[n + 2 - k, -(n + 1 - k)] for k in range(1, n + 1)]
+    v = presentation(n + 1, chain + [[n + 1, n + 1, 1, 1]])
+    assert simplify_presentation(v) == SimplifiedPresentation([0], [[1, 1, 1, 1]])
+
+
+def test_relators_are_rewritten_once_per_pop(monkeypatch):
+    # g13 C_1^2: 89 loops, 631 relators and 86 eliminations.  Rewriting every
+    # holder at each elimination free-reduces 3,565 words; rewriting a relator
+    # only when the heap pops it free-reduces 1,279.
+    v = vertex_group(build_category(bundled.get_structure("g13"), 1, 2), 0)
+    calls = []
+    reduce = divided._free_reduce
+
+    def counting(word):
+        calls.append(None)
+        return reduce(word)
+
+    monkeypatch.setattr(divided, "_free_reduce", counting)
+    simplified = simplify_presentation(v)
+    assert (len(simplified.generators), len(simplified.relators)) == (3, 340)
+    assert len(calls) <= 1600
 
 
 def test_empty_presentation_is_conclusive(monkeypatch):
