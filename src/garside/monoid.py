@@ -54,26 +54,29 @@ build that checks all of these is kept in the tests as the reference.
 
 Elements of the Garside group are NormalForm values: an integer power of
 Delta followed by left-weighted simple factors, none equal to the identity
-or to Delta.  All arithmetic rests on one step: right-multiplying such a
-factor list by a simple, with a single right-to-left sweep of the
-splitting table that stops at the first pair already left-weighted, or
-as soon as the simple it carries leftwards becomes Delta.  By the twist
+or to Delta.  All arithmetic rests on one sweep: right-multiplying such a
+factor list by a sequence of simples, each taken by one right-to-left pass
+of the splitting table that stops at the first pair already left-weighted,
+or as soon as the simple it carries leftwards becomes Delta.  By the twist
 identity, prefix . Delta . suffix = Delta . phi(prefix . phi^-1(suffix)),
-so the step drops that Delta and relabels by phi^-1 only the factors the
-sweep has passed, instead of walking Delta through the whole prefix.
-Products therefore keep their factors in a frame twisted by a pending
-power of phi, which each Delta taken out raises by one, and untwist once
-at the end.  An inverse letter a^-1 = ∂a . Delta^-1 is taken as
+so the pass drops that Delta and relabels by phi^-1 only the factors it
+has passed, instead of walking Delta through the whole prefix.  The sweep
+keeps its factors in a frame twisted by a pending power of phi, which each
+Delta taken out raises by one, and the caller untwists once at the end.
+An inverse letter a^-1 = ∂a . Delta^-1 is taken as
 x . a^-1 = Delta^-1 . phi^-1(x . ∂a), which lowers the twist by one.  A
-word of simples first folds each run of letters of one sign into fewer
-simples through the product table; a random signed word then costs one
-or two splitting lookups per letter, whatever its length.  Inversion has
-the closed form of El-Rifai and Morton.
+normal form is one sweep over its word, after each run of letters of one
+sign is folded into fewer simples through the product table, and a
+product one sweep over the right factor's simples; a random signed word
+costs one or two splitting lookups per letter, whatever its length.
+Inversion has the closed form of El-Rifai and Morton.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import AxiomViolation, GarsideError
 from .presentation import (
@@ -169,75 +172,91 @@ class GarsideStructure:
 
     # -- normal forms ------------------------------------------------------
 
-    def _right_multiply(self, factors: list[int], s: int) -> int:
-        """Right-multiply left-weighted proper factors by the simple s in place.
+    def _sweep(self, factors: list[int], runs) -> tuple[int, int]:
+        """Right-multiply left-weighted proper factors in place by runs,
+        (simple, positive) pairs with s^-1 for a negative s.
 
-        Returns k, 0 or 1, such that the old factors times s equal Delta^k
-        times phi^k of the new ones.  One right-to-left sweep re-splits each
-        pair (f_i, f_i+1) into (f_i . e, d) with e = gcd(comp(f_i), f_i+1)
-        and e . d = f_i+1, and stops at the first pair with e = 1, already
-        left-weighted.  It also stops when the carried simple f_i becomes
-        Delta: prefix . Delta . suffix = Delta . phi(prefix . phi^-1(suffix)),
-        so that Delta is dropped, the suffix the sweep has passed is
-        relabelled by phi^-1, and the caller twists its frame by phi.  The
-        prefix is left as it is, where walking Delta to the front would
-        touch every factor of it.  An identity can only arise at the back,
-        where it is dropped.
+        Returns (p, t), 0 <= t < phi order: the old factors times the runs
+        are Delta^p . phi^t(new factors).  A positive s appends phi^-t(s),
+        and a negative one phi^-t(ds) then Delta^-1, as y . s^-1 =
+        y . ds . Delta^-1 and y . Delta^-1 = Delta^-1 . phi^-1(y).  Each
+        append re-splits the pairs (f_i, f_i+1) right to left into
+        (f_i . e, d), e = gcd(comp(f_i), f_i+1) and e . d = f_i+1, up to
+        the first pair with e = 1 or until the carried f_i is Delta, which
+        is dropped as the passed suffix is relabelled by phi^-1 and the
+        frame twists by phi.  An identity can arise only at the back.
         """
         split = self.split
         product = self.product_table
         residual = self.residual_left
         delta = self.delta
-        i = len(factors)
-        factors.append(s)
-        b = s  # the simple at i, carried from the last step
-        while i and b != delta:
-            i -= 1
-            a = factors[i]
-            e = split[a][b]
-            if not e:  # e = 1 (simple 0): the pair is left-weighted
-                break
-            factors[i + 1] = residual[e][b]
-            b = factors[i] = product[a][e]
-        k = 0
-        if b == delta:  # only the carry can be Delta, and it sits at i
-            del factors[i]
-            if self.phi_order > 1:
-                factors[i:] = map(self.phi_power_perm(-1).__getitem__, factors[i:])
-            k = 1
-        if factors and not factors[-1]:
-            factors.pop()
-        return k
+        comp = self.left_complement
+        powers = self._phi_powers
+        order = len(powers)
+        untwist = powers[-1].__getitem__  # phi^-1
+        p = t = 0
+        perm = powers[0]  # phi^-t
+        for s, positive in runs:
+            b = perm[s] if positive else perm[comp[s]]  # the carried simple
+            i = len(factors)
+            factors.append(b)
+            while i and b != delta:
+                i -= 1
+                a = factors[i]
+                e = split[a][b]
+                if not e:  # e = 1 (simple 0): the pair is left-weighted
+                    break
+                factors[i + 1] = residual[e][b]
+                b = factors[i] = product[a][e]
+            if b != delta:
+                if not factors[-1]:
+                    factors.pop()
+                if not positive:
+                    p -= 1
+                    t = (t - 1) % order
+                    perm = powers[-t]
+                continue
+            del factors[i]  # only the carry can be Delta, and it sits at i
+            if order > 1:
+                factors[i:] = map(untwist, factors[i:])
+            if factors and not factors[-1]:
+                factors.pop()
+            if positive:
+                p += 1
+                t = (t + 1) % order
+                perm = powers[-t]
+        return p, t
 
-    def _atom(self, gi: int) -> int:
-        if not 0 <= gi < len(self.generator_atoms):
-            raise GarsideError(f"generator index {gi} is out of range")
-        return self.generator_atoms[gi]
+    def _check_range(self, seen: set[int], indices) -> None:
+        """Refuse the first of indices out of range; seen, their set, is
+        checked once, as a bare read would wrap a negative index."""
+        n = len(self.generator_atoms)
+        if seen and (min(seen) < 0 or max(seen) >= n):
+            bad = next(gi for gi in indices if not 0 <= gi < n)
+            raise GarsideError(f"generator index {bad} is out of range")
 
     def normal_form(self, word: Word) -> NormalForm:
         """Normal form of a positive word in the generators."""
-        return self.normal_form_simples([(self._atom(gi), 1) for gi in word])
+        self._check_range(set(word), word)
+        atoms = self.generator_atoms
+        return self.normal_form_simples([(atoms[gi], 1) for gi in word])
 
     def normal_form_signed(self, letters: list[tuple[int, int]]) -> NormalForm:
         """Normal form of a group word given as (generator index, +-1) pairs."""
-        return self.normal_form_simples(
-            [(self._atom(gi), sign) for gi, sign in letters]
-        )
+        index = itemgetter(0)
+        self._check_range(set(map(index, letters)), map(index, letters))
+        atoms = self.generator_atoms
+        return self.normal_form_simples([(atoms[gi], sign) for gi, sign in letters])
 
     def normal_form_simples(self, letters: list[tuple[int, int]]) -> NormalForm:
         """Normal form of a product of simples given as (simple id, +-1) pairs.
 
-        First each run of letters of one sign is folded left to right: a
-        letter joins the simple before it while the product table has their
+        Each run of letters of one sign is folded left to right: a letter
+        joins the simple before it while the product table has their
         product, a . b for positive letters and b . a for inverse ones, as
         a^-1 . b^-1 = (b . a)^-1.  Left normal forms are unique, so the
-        folding changes the work and not the result.
-
-        The running value is Delta^p . phi^t(factors).  A positive simple s
-        appends phi^-t(s), and a negative one phi^-t of its complement
-        followed by Delta^-1, since y . s^-1 = y . ds . Delta^-1 and
-        y . Delta^-1 = Delta^-1 . phi^-1(y).  Each Delta the append takes out
-        (or puts in) raises (or lowers) p and t together.
+        folding changes the work and not the result.  One sweep then
+        multiplies the identity by the runs.
         """
         product = self.product_table
         runs: list[tuple[int, bool]] = []
@@ -251,23 +270,10 @@ class GarsideStructure:
             runs.append((run, positive))
             run, positive = s, sign > 0
         runs.append((run, positive))
-
-        comp = self.left_complement
-        order = self.phi_order
         factors: list[int] = []
-        p = t = 0
-        perm = self.phi_power_perm(0)  # phi^-t
-        for s, positive in runs:
-            if positive:
-                k = self._right_multiply(factors, perm[s])
-            else:
-                k = self._right_multiply(factors, perm[comp[s]]) - 1
-            if k:
-                p += k
-                t = (t + k) % order
-                perm = self.phi_power_perm(-t)
+        p, t = self._sweep(factors, runs)
         if t:
-            factors = map(self.phi_power_perm(t).__getitem__, factors)
+            factors = map(self._phi_powers[t].__getitem__, factors)
         return NormalForm(p, tuple(factors))
 
     def nf_length(self, x: NormalForm) -> int:
@@ -278,22 +284,14 @@ class GarsideStructure:
     # -- group arithmetic ----------------------------------------------------
 
     def multiply(self, x: NormalForm, y: NormalForm) -> NormalForm:
-        """x . y = Delta^(p+q) . phi^q(x's factors) . y's factors, q = y's power.
-
-        The product is kept as Delta^(p+q+t) . phi^t(factors), with t the
-        Deltas taken out so far, as in normal_form_simples.
-        """
+        """x . y = Delta^(p+q) . phi^q(x's factors) . y's factors, q = y's
+        power: one sweep appends y's factors to x's twisted ones."""
         perm = self.phi_power_perm(y.delta_power)
         factors = [perm[f] for f in x.factors]
-        t = 0
-        perm = self.phi_power_perm(0)  # phi^-t
-        for f in y.factors:
-            if self._right_multiply(factors, perm[f]):
-                t += 1
-                perm = self.phi_power_perm(-t)
-        if t % self.phi_order:
-            factors = map(self.phi_power_perm(t).__getitem__, factors)
-        return NormalForm(x.delta_power + y.delta_power + t, tuple(factors))
+        p, t = self._sweep(factors, zip(y.factors, repeat(True)))
+        if t:
+            factors = map(self._phi_powers[t].__getitem__, factors)
+        return NormalForm(x.delta_power + y.delta_power + p, tuple(factors))
 
     def invert(self, x: NormalForm) -> NormalForm:
         """Closed form, left-weighted as it stands: for x = Delta^p f_1...f_k,
@@ -310,15 +308,17 @@ class GarsideStructure:
         )
 
     def power(self, x: NormalForm, k: int) -> NormalForm:
+        """x^k: for k >= 1, k.bit_length() - 1 squarings and popcount(k) - 1
+        further products."""
         if k < 0:
             return self.power(self.invert(x), -k)
-        out = IDENTITY_NF
-        base = x
+        out = IDENTITY_NF if not k else None
         while k:
             if k & 1:
-                out = self.multiply(out, base)
-            base = self.multiply(base, base)
+                out = x if out is None else self.multiply(out, x)
             k >>= 1
+            if k:
+                x = self.multiply(x, x)
         return out
 
     def is_central(self, x: NormalForm) -> bool:

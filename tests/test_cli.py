@@ -50,6 +50,26 @@ def test_scenario_verify_pairs_searches_once(capsys, monkeypatch):
     assert calls == [()]
 
 
+@pytest.mark.parametrize("suite, calls", [("verify-g12", 9), ("verify-g13", 10)])
+def test_scenario_sweeps_roots_once(capsys, monkeypatch, suite, calls):
+    # The roots-exist row and the roots-vs-regular row share one sweep over
+    # the candidate orders; only the centralizer row asks again.
+    from garside import periodic, scenarios
+
+    report, seen = periodic.roots_report, []
+
+    def counted(*args, **kwargs):
+        seen.append((args[1:], sorted(kwargs.items())))
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(periodic, "roots_report", counted)
+    scenarios._root_existence.cache_clear()
+    rc, out, _ = run(capsys, "scenario", suite)
+    assert rc == 0 and json.loads(out)["pass"] is True
+    assert len(seen) == calls
+    assert len({repr(call) for call in seen}) == calls
+
+
 def test_scenario_output_is_byte_stable(capsys):
     rc1, out1, _ = run(capsys, "scenario", "verify-regular")
     rc2, out2, _ = run(capsys, "scenario", "verify-regular")

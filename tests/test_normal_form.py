@@ -39,10 +39,15 @@ def _random_signed(g, rng, length):
 
 @pytest.mark.parametrize("gi", [3, 99, -1])
 def test_out_of_range_generator_index_raises(g12, gi):
-    with pytest.raises(GarsideError, match="out of range"):
-        g12.normal_form((gi,))
-    with pytest.raises(GarsideError, match="out of range"):
-        g12.normal_form_signed([(gi, 1)])
+    # The range is checked once per word; the error still names the first
+    # bad index, and a negative one is refused rather than read from the end.
+    message = f"generator index {gi} is out of range"
+    valid = [i % 3 for i in range(1000)]
+    for word in ([gi], valid + [gi], valid + [gi, 7], valid + [gi, -5]):
+        with pytest.raises(GarsideError, match=message):
+            g12.normal_form(tuple(word))
+        with pytest.raises(GarsideError, match=message):
+            g12.normal_form_signed([(i, 1 - 2 * (i % 2)) for i in word])
 
 
 @pytest.mark.parametrize("name", STRUCTURES)
@@ -201,3 +206,97 @@ def test_normal_form_hashes_as_its_fields():
     assert nf == NormalForm(2, (1, 3)) != NormalForm(2, (3, 1))
     assert (nf.delta_power, nf.factors) == (2, (1, 3))
     assert IDENTITY_NF == NormalForm(0, ())
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_power_squares_only_below_the_top_bit(name):
+    g = bundled.get_structure(name)
+    counted, calls = copy.copy(g), []  # True for a squaring
+
+    def multiply(x, y):
+        calls.append(x is y)
+        return g.multiply(x, y)
+
+    counted.multiply = multiply
+    x = g.normal_form_signed(_random_signed(g, random.Random(f"power:{name}"), 40))
+    for k in range(1, 41):
+        calls.clear()
+        assert counted.power(x, k) == g.power(x, k)
+        squarings = calls.count(True)
+        assert (squarings, len(calls) - squarings) == (
+            k.bit_length() - 1,
+            bin(k).count("1") - 1,
+        )
+    calls.clear()
+    assert counted.power(x, 0) == IDENTITY_NF and calls == []
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_powers_match_reference(name):
+    g = bundled.get_structure(name)
+    rng = random.Random(f"powers:{name}")
+    for _ in range(3):
+        x = g.normal_form_signed(_random_signed(g, rng, 12))
+        for k in range(-8, 9):
+            assert g.power(x, k) == ref.power(g, x, k)
+
+
+@pytest.mark.parametrize("name", ["g12", "g13"])
+def test_products_with_twisting_delta_powers_match_references(name):
+    # y's Delta power q twists x's factors by phi^q; on g12 (phi of order 3)
+    # q = 1, 2, 4, -1, -2, -4 are the powers that move them.
+    g = bundled.get_structure(name)
+    rng = random.Random(f"twist:{name}")
+    for length, reference in ((12, ref.multiply), (600, ref.sweep_multiply)):
+        x = g.normal_form_signed(_random_signed(g, rng, length))
+        y = g.normal_form_signed(_random_signed(g, rng, length))
+        for q in range(-4, 5):
+            y_q = NormalForm(q, y.factors)
+            assert g.multiply(x, y_q) == reference(g, x, y_q)
+            assert g.multiply(y_q, x) == reference(g, y_q, x)
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_delta_carried_in_the_middle_matches_references(name):
+    # Appending a simple s with comp(f_n) <= s makes Delta at once at the
+    # last place of a long factor list, passing the suffix d = comp(f_n)\s;
+    # appending e with f_n . e = lcm(f_n, comp(f_n-1)) != Delta makes it one
+    # place further left.  Either way the prefix is left as it is, and the
+    # result is Delta . phi(prefix) . d.
+    g = bundled.get_structure(name)
+    rng = random.Random(f"middle:{name}")
+    comp, mask = g.left_complement, g.left_div_mask
+    inverse_comp = {c: s for s, c in enumerate(comp)}
+    cases = deep = 0
+    for _ in range(6):
+        n = len(g.presentation.generators)
+        fs = g.normal_form([rng.randrange(n) for _ in range(300)]).factors
+        x = NormalForm(0, fs)
+        appends = [
+            (s, len(fs) - 1) for s in range(len(g.simples))
+            if s != g.delta and mask[s] >> comp[fs[-1]] & 1
+        ]
+        common = [
+            c for c in range(len(g.simples))
+            if mask[c] >> fs[-1] & 1 and mask[c] >> comp[fs[-2]] & 1
+        ]
+        lcm = min(common, key=g.simple_length)
+        if lcm != g.delta:
+            appends.append((g.residual_left[fs[-1]][lcm], len(fs) - 2))
+            deep += 1
+        for s, place in appends:
+            b = s if place == len(fs) - 1 else g.product_table[fs[-1]][s]
+            d = g.residual_left[comp[fs[place]]][b]
+            prefix = tuple(g.phi_simple(f) for f in fs[:place])
+            expected = NormalForm(1, prefix + ((d,) if d else ()))
+            y = NormalForm(0, (s,))
+            assert g.multiply(x, y) == ref.sweep_multiply(g, x, y) == expected
+            letters = [(f, 1) for f in fs]
+            tail = [(rng.randrange(len(g.simples)), rng.choice((1, -1))) for _ in range(200)]
+            for run in ([(s, 1)], [(inverse_comp[s], -1)]):
+                for rest in ([], tail):
+                    word = letters + run + rest
+                    assert g.normal_form_simples(word) == ref.sweep_normal_form_simples(g, word)
+            cases += 1
+    assert cases >= 6
+    assert deep > 0 or name in ("g12", "typeb2")
