@@ -411,7 +411,9 @@ def vertex_group(c: DividedCategory, base: int) -> VertexGroupPresentation:
     """Contract the component of base to a one-object group presentation.
 
     The loop paths are kept as paths: collapse maps one to the Garside
-    group, and a report collapses only the generators it prints.
+    group, and a report collapses only the generators it prints.  The
+    relators are left as they are read off the relations, not free-reduced:
+    simplify_presentation reduces what it is given.
     """
     gens = c.generator_ids()
     parent = list(range(len(c.objects)))
@@ -461,7 +463,7 @@ def vertex_group(c: DividedCategory, base: int) -> VertexGroupPresentation:
         if c.morphisms[lhs[0]].source not in component:
             continue
         word = letters(lhs) + [-x for x in reversed(letters(rhs))]
-        relators.append(_free_reduce(word))
+        relators.append(word)
     return VertexGroupPresentation(tree, loop_edges, loop_paths, relators)
 
 

@@ -5,14 +5,19 @@ Garside word Delta.  Simples are the congruence classes of prefixes of
 words in Delta's class, so the build asks the lazy congruence oracle only
 about Delta's class and the classes of its prefixes and suffixes.  Once
 the prefix classes equal the suffix classes, every word the oracle has
-closed is a word of some simple, so one pass over the oracle gives a
-dictionary from every such word to its simple.  That dictionary fills the
-n x n two-simple product table: entry [a][b] is the simple a.b, or None
-when a.b is not simple.  The residual and gcd tables and the automorphism
-phi read their products from that table, and the gcd table, its rows
-permuted by the left complement, is the splitting table that normal
-forms and left-weightedness read.  The oracle and the word dictionary are locals of
-the build: the structure keeps one word per simple (its lex-least) and
+closed is a word of some simple and no other word is, so n . k reads of
+it give right multiplication by the k generators: the simple x.t, or
+None.  Those reads, the simples' lex-least words, Delta and the atoms are
+a Garside germ (Dehornoy et al., Foundations of Garside Theory, ch. VI),
+and nothing after them reads the oracle.  The lex-least word of a simple
+b is b't, with b' the simple of its first |b| - 1 letters, so a.b =
+(a.b').t fills the n x n two-simple product table column by column with
+list reads: entry [a][b] is the simple a.b, or None when a.b is not
+simple.  The residual and gcd tables and the automorphism phi read their
+products from that table, and the gcd table, its rows permuted by the
+left complement, is the splitting table that normal forms and
+left-weightedness read.  The oracle and right multiplication are locals
+of the build: the structure keeps one word per simple (its lex-least) and
 the tables, and nothing after the build looks a word up.  It also keeps
 the enumeration budget it was built under, which caps the divided sets
 enumerated over it (garside.divided).
@@ -342,18 +347,6 @@ def _divisor_classes(
     return prefixes, suffixes
 
 
-def _product_table(
-    simples: tuple[Word, ...], word_map: dict[Word, int]
-) -> list[list[int | None]]:
-    """[a][b] = the simple a * b, or None when it is not simple.
-
-    A word of a followed by a word of b is a word of a * b, and word_map
-    holds every word of every simple, so one lookup per pair decides it.
-    """
-    lookup = word_map.get
-    return [[lookup(u + v) for v in simples] for u in simples]
-
-
 def _build_residuals(g: GarsideStructure) -> tuple[list[list[int | None]], list[int]]:
     """Left residuals from the two-simple products: [a][b] = c for a * c = b.
     A clash is reported at the least (a, b), with its two least candidates.
@@ -440,29 +433,39 @@ def build_garside(
         ]
         raise AxiomViolation("balanced", witnesses)
     g.simples = tuple(sorted(prefixes, key=lambda w: (len(w), w)))
-    # The oracle closed only Delta's class and its prefix and suffix classes,
-    # which are now all simples: every closed word belongs to a simple.
+    n = len(g.simples)
+    g.delta = n - 1  # the one simple of length |Delta|, so the last
+    # right[t] maps x to the simple x . t, when it is simple.  The oracle
+    # closed only Delta's class and its prefix and suffix classes, which are
+    # now all simples, so a closed word is a word of a simple and any other
+    # word is not.  These n . k reads are the last the build makes of it.
     simple_id = {w: i for i, w in enumerate(g.simples)}
-    word_map = {w: simple_id[rep] for w, rep in oracle.reps.items()}
-    g.delta = word_map[p.delta_word]
-    atom_ids = []
-    for gi, name in enumerate(p.generators):
-        a = word_map.get((gi,))
-        if a is None:
-            raise AxiomViolation(
-                "balanced", [f"generator {name} does not divide delta"]
-            )
-        atom_ids.append(a)
+    right: list[dict[int, int]] = [{} for _ in p.generators]
+    for x, w in enumerate(g.simples):
+        for t, times in enumerate(right):
+            y = simple_id.get(oracle.reps.get(w + (t,)))
+            if y is not None:
+                times[x] = y
+    atom_ids = [times.get(g.identity) for times in right]
+    if None in atom_ids:
+        name = p.generators[atom_ids.index(None)]
+        raise AxiomViolation("balanced", [f"generator {name} does not divide delta"])
     g.generator_atoms = tuple(atom_ids)
     g.atoms = tuple(sorted(set(atom_ids)))
-    g.product_table = _product_table(g.simples, word_map)
+    # The lex-least word of b, less its last letter t, is the lex-least word
+    # of a shorter simple b' (a lesser word of b' then t would be a lesser
+    # word of b), so column b of the product table is column b' taken
+    # through right[t]: a . b = (a . b') . t.
+    columns = [range(n)]
+    for w in g.simples[1:]:
+        columns.append(list(map(right[w[-1]].get, columns[simple_id[w[:-1]]])))
+    g.product_table = list(map(list, zip(*columns)))
 
     # The two lattice checks: unique left residuals, then left gcds.
     g.residual_left, g.left_div_mask = _build_residuals(g)
     gcd_left = _bound_table(g, g.left_div_mask)
 
     # Complements and the Garside automorphism phi = complement squared.
-    n = len(g.simples)
     g.left_complement = tuple(g.residual_left[a][g.delta] for a in range(n))
     phi = tuple(g.left_complement[c] for c in g.left_complement)
     powers = [tuple(range(n))]

@@ -5,15 +5,18 @@ reject an input: two residual passes (left and right), divisor and
 multiple masks on both sides, all four gcd/lcm tables, complement
 injectivity, phi as a permutation fixing 1 and Delta that preserves atoms,
 the left-weighted splitting of every two-simple product and the twist
-identity x.Delta = Delta.phi(x).  Tests compare its reports and tables
-with `garside.monoid.build_garside`, so the checks the build no longer
-runs still run on every input the tests build.
+identity x.Delta = Delta.phi(x).  Its product table looks up the word of
+every two simples, one after the other, in a map of every word of every
+simple; the build derives its table from right multiplication by atoms
+instead.  Tests compare its reports and tables with
+`garside.monoid.build_garside`, so the checks the build no longer runs
+still run on every input the tests build.
 """
 
 from __future__ import annotations
 
 from garside.errors import AxiomViolation, GarsideError
-from garside.monoid import GarsideStructure, _product_table
+from garside.monoid import GarsideStructure
 from garside.presentation import (
     DEFAULT_BUDGET,
     CongruenceTable,
@@ -32,6 +35,17 @@ def _divisor_classes(
         for k in range(len(w) + 1):
             out.add(oracle.rep(w[:k] if prefixes else w[k:]))
     return out
+
+
+def _product_table(
+    simples: tuple[Word, ...], word_map: dict[Word, int]
+) -> list[list[int | None]]:
+    """[a][b] = the simple a * b, or None when it is not simple.
+
+    A word of a followed by a word of b is a word of a * b, and word_map
+    holds every word of every simple, so one lookup per pair decides it.
+    """
+    return [[word_map.get(u + v) for v in simples] for u in simples]
 
 
 def _build_residuals(

@@ -162,8 +162,8 @@ def test_product_table_matches_word_lookup(any_structure):
 
 @pytest.mark.parametrize("name", ("g12", "g13", "typeb2", "typeb3"))
 def test_structure_keeps_no_words(name):
-    # The oracle and the word -> simple map are locals of the build; the
-    # structure keeps one word per simple and its tables.
+    # The oracle and right multiplication by the generators are locals of
+    # the build; the structure keeps one word per simple and its tables.
     # Nor does it keep a table whose rows hold tuples: a pair per entry of an
     # n x n table is derived when read.
     for value in vars(bundled.get_structure(name)).values():
