@@ -1,26 +1,26 @@
 """Garside structures: simples, divisibility lattices, phi, normal forms.
 
 A structure is built from a homogeneous presentation with a designated
-Garside word Delta.  Simples are the congruence classes of prefixes of
-words in Delta's class, so the build asks the lazy congruence oracle only
-about Delta's class and the classes of its prefixes and suffixes.  Once
-the prefix classes equal the suffix classes, every word the oracle has
-closed is a word of some simple and no other word is, so n . k reads of
-it give right multiplication by the k generators: the simple x.t, or
-None.  Those reads, the simples' lex-least words, Delta and the atoms are
-a Garside germ (Dehornoy et al., Foundations of Garside Theory, ch. VI),
-and nothing after them reads the oracle.  The lex-least word of a simple
-b is b't, with b' the simple of its first |b| - 1 letters, so a.b =
-(a.b').t fills the n x n two-simple product table column by column with
-list reads: entry [a][b] is the simple a.b, or None when a.b is not
-simple.  The residual and gcd tables and the automorphism phi read their
-products from that table, and the gcd table, its rows permuted by the
-left complement, is the splitting table that normal forms and
-left-weightedness read.  The oracle and right multiplication are locals
-of the build: the structure keeps one word per simple (its lex-least) and
-the tables, and nothing after the build looks a word up.  It also keeps
-the enumeration budget it was built under, which caps the divided sets
-enumerated over it (garside.divided).
+Garside word Delta, in two halves.  The front end, build_garside, asks the
+lazy congruence oracle only about Delta's class and the classes of its
+prefixes and suffixes.  Once the prefix classes equal the suffix classes,
+every word the oracle has closed is a word of some simple and no other word
+is, so n . k reads of it give right multiplication by the k generators: the
+simple x.t, or None.  Those reads and the simples' lex-least words are a
+Garside germ (Dehornoy et al., Foundations of Garside Theory, ch. VI), and
+the front end ends by handing them to the GarsideStructure constructor, the
+back end, which derives every table from them and never sees the oracle.
+The lex-least word of a simple b is b't, with b' the simple of its first
+|b| - 1 letters, so a.b = (a.b').t fills the n x n two-simple product
+table column by column with list reads: entry [a][b] is the simple a.b, or
+None when a.b is not simple.  The residual and gcd tables and the
+automorphism phi read their products from that table, and the gcd table,
+its rows permuted by the left complement, is the splitting table that
+normal forms and left-weightedness read.  The structure keeps one word per
+simple (its lex-least) and the tables, not right multiplication, and
+nothing after the build looks a word up.  It also keeps the enumeration
+budget it was built under, which caps the divided sets enumerated over it
+(garside.divided).
 
 The build checks only the axioms that can reject an input, and raises
 AxiomViolation with rendered witnesses at the first that fails:
@@ -102,29 +102,75 @@ IDENTITY_NF = NormalForm(0, ())
 
 
 class GarsideStructure:
-    """Verified Garside data for one presentation.
+    """Verified Garside data for one presentation, derived from its germ.
 
-    Instances are built by build_garside and must be treated as immutable;
-    all public methods are pure reads.
+    build_garside finds the germ through the congruence closure.  Instances
+    must be treated as immutable; all public methods are pure reads.
     """
 
-    def __init__(self, presentation: Presentation, budget: int):
+    identity = 0  # the empty word sorts first
+
+    def __init__(
+        self,
+        presentation: Presentation,
+        budget: int,
+        simples: tuple[Word, ...],
+        right: list[dict[int, int]],
+    ):
+        """Derive every table from the germ (simples, right), checking the
+        axioms that can fail (see the module docstring).
+
+        simples holds each simple's lex-least word in (length, word) order,
+        so the identity comes first and Delta, the one simple of length
+        |Delta|, last; each word less its last letter is the word of a
+        simple.  right[t][x] is the simple x . t for generator index t,
+        defined exactly when x . t is simple.  budget is the enumeration
+        cap kept for the divided sets enumerated over the structure.
+        """
         self.presentation = presentation
-        self.budget = budget  # the enumeration cap it was built under
-        self.simples: tuple[Word, ...] = ()  # lex-least word of each simple
-        self.identity = 0
-        self.delta = 0
-        self.atoms: tuple[int, ...] = ()
-        self.generator_atoms: tuple[int, ...] = ()  # generator index -> atom
-        self.product_table: list[list[int | None]] = []  # [a][b] = a * b, if simple
-        self.left_div_mask: list[int] = []     # bit i set in entry j: i left-divides j
-        self.residual_left: list[list[int | None]] = []   # a * c = b  =>  [a][b] = c
-        self.left_complement: tuple[int, ...] = ()   # a * comp(a) = Delta
+        self.budget = budget
+        self.simples = simples
+        n = len(simples)
+        self.delta = n - 1
+        atom_ids = [times.get(self.identity) for times in right]
+        if None in atom_ids:
+            name = presentation.generators[atom_ids.index(None)]
+            raise AxiomViolation("balanced", [f"generator {name} does not divide delta"])
+        self.generator_atoms = tuple(atom_ids)  # generator index -> atom
+        self.atoms = tuple(sorted(set(atom_ids)))
+        # The lex-least word of b, less its last letter t, is the lex-least
+        # word of a shorter simple b' (a lesser word of b' then t would be a
+        # lesser word of b), so column b of the product table is column b'
+        # taken through right[t]: a . b = (a . b') . t.
+        simple_id = {w: i for i, w in enumerate(simples)}
+        columns = [range(n)]
+        for w in simples[1:]:
+            columns.append(list(map(right[w[-1]].get, columns[simple_id[w[:-1]]])))
+        # [a][b] = a * b, if simple
+        self.product_table = list(map(list, zip(*columns)))
+
+        # The two lattice checks: unique left residuals (a * c = b  =>
+        # [a][b] = c, with bit a of left_div_mask[b] set), then left gcds.
+        self.residual_left, self.left_div_mask = _build_residuals(self)
+        gcd_left = _bound_table(self, self.left_div_mask)
+
+        # Complements (a * comp(a) = Delta) and the Garside automorphism
+        # phi = complement squared.
+        self.left_complement = tuple(row[self.delta] for row in self.residual_left)
+        phi = tuple(self.left_complement[c] for c in self.left_complement)
+        powers = [tuple(range(n))]
+        current = phi
+        while current != powers[0]:
+            powers.append(current)
+            current = tuple(phi[current[a]] for a in range(n))
+        self._phi_powers = powers
+
         # [a][b] = e = gcd(comp(a), b): a * b = (a * e) * d with e * d = b,
         # and (a, b) is left-weighted iff e = 1.  Rows are the gcd table's.
-        self.split: list[list[int]] = []
-        self._phi_powers: list[tuple[int, ...]] = []
-        self._atom_nf: dict[int, NormalForm] = {}
+        self.split = [gcd_left[c] for c in self.left_complement]
+        # An atom equal to Delta (the free monoid on one letter) is Delta^1,
+        # not a factor, so each atom goes through the normaliser.
+        self._atom_nf = {a: self.normal_form_simples([(a, 1)]) for a in self.atoms}
 
     # -- rendering ---------------------------------------------------------
 
@@ -418,11 +464,11 @@ def _bound_table(g: GarsideStructure, masks: list[int]) -> list[list[int]]:
 def build_garside(
     p: Presentation, budget: int = DEFAULT_BUDGET
 ) -> GarsideStructure:
-    """Build the Garside structure over p, checking the axioms that can fail."""
+    """Build the Garside structure over p, checking the axioms that can fail:
+    the closure front end, which finds the germ (simples, right)."""
     if not p.delta_word:
         raise GarsideError("delta word must be non-empty")
     oracle = congruence_classes(p, len(p.delta_word), budget)
-    g = GarsideStructure(p, budget)
 
     # Simples and balancedness.
     prefixes, suffixes = _divisor_classes(oracle, p.delta_word)
@@ -432,56 +478,19 @@ def build_garside(
             for w in sorted(prefixes ^ suffixes, key=lambda w: (len(w), w))
         ]
         raise AxiomViolation("balanced", witnesses)
-    g.simples = tuple(sorted(prefixes, key=lambda w: (len(w), w)))
-    n = len(g.simples)
-    g.delta = n - 1  # the one simple of length |Delta|, so the last
+    simples = tuple(sorted(prefixes, key=lambda w: (len(w), w)))
     # right[t] maps x to the simple x . t, when it is simple.  The oracle
     # closed only Delta's class and its prefix and suffix classes, which are
     # now all simples, so a closed word is a word of a simple and any other
     # word is not.  These n . k reads are the last the build makes of it.
-    simple_id = {w: i for i, w in enumerate(g.simples)}
+    simple_id = {w: i for i, w in enumerate(simples)}
     right: list[dict[int, int]] = [{} for _ in p.generators]
-    for x, w in enumerate(g.simples):
+    for x, w in enumerate(simples):
         for t, times in enumerate(right):
             y = simple_id.get(oracle.reps.get(w + (t,)))
             if y is not None:
                 times[x] = y
-    atom_ids = [times.get(g.identity) for times in right]
-    if None in atom_ids:
-        name = p.generators[atom_ids.index(None)]
-        raise AxiomViolation("balanced", [f"generator {name} does not divide delta"])
-    g.generator_atoms = tuple(atom_ids)
-    g.atoms = tuple(sorted(set(atom_ids)))
-    # The lex-least word of b, less its last letter t, is the lex-least word
-    # of a shorter simple b' (a lesser word of b' then t would be a lesser
-    # word of b), so column b of the product table is column b' taken
-    # through right[t]: a . b = (a . b') . t.
-    columns = [range(n)]
-    for w in g.simples[1:]:
-        columns.append(list(map(right[w[-1]].get, columns[simple_id[w[:-1]]])))
-    g.product_table = list(map(list, zip(*columns)))
-
-    # The two lattice checks: unique left residuals, then left gcds.
-    g.residual_left, g.left_div_mask = _build_residuals(g)
-    gcd_left = _bound_table(g, g.left_div_mask)
-
-    # Complements and the Garside automorphism phi = complement squared.
-    g.left_complement = tuple(g.residual_left[a][g.delta] for a in range(n))
-    phi = tuple(g.left_complement[c] for c in g.left_complement)
-    powers = [tuple(range(n))]
-    current = phi
-    while current != powers[0]:
-        powers.append(current)
-        current = tuple(phi[current[a]] for a in range(n))
-    g._phi_powers = powers
-
-    # Left-weighted splitting of two-simple products: row a of the gcd
-    # table permuted to comp(a), so [a][b] = gcd(comp(a), b).
-    g.split = [gcd_left[c] for c in g.left_complement]
-    # An atom equal to Delta (the free monoid on one letter) is Delta^1, not
-    # a factor, so each atom goes through the normaliser.
-    g._atom_nf = {a: g.normal_form_simples([(a, 1)]) for a in g.atoms}
-    return g
+    return GarsideStructure(p, budget, simples, right)
 
 
 def verify_presentation(p: Presentation, budget: int = DEFAULT_BUDGET) -> dict:

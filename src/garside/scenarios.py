@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import bundled, divided, periodic, reflgroups, typeb
-from .monoid import GarsideStructure, NormalForm, verify_presentation
+from .monoid import NormalForm, verify_presentation
 from .periodic import _centralizer_payload
 from .presentation import _parse_signed_word
 from .reflgroups import _regular_reports
@@ -111,20 +111,12 @@ def _root_orders(budget: int, source: str, zp_power: int) -> list[int]:
 
 
 def _roots_exist(budget: int, source: str, zp_power: int) -> dict[str, bool]:
-    return dict(_root_existence(bundled.get_structure(source, budget), zp_power))
-
-
-# verify-g12 and verify-g13 list which roots exist and then compare that list
-# with the regular numbers: one roots sweep serves both rows.  Keyed by the
-# structure itself, so a cleared structure cache starts the sweep afresh.
-@lru_cache(maxsize=4)
-def _root_existence(
-    g: GarsideStructure, zp_power: int
-) -> tuple[tuple[str, bool], ...]:
-    return tuple(
-        (str(d), periodic.roots_report(g, zp_power, d).exists)
+    # A d-th root exists iff C_p^q has an object, so D_p^q alone decides it.
+    g = bundled.get_structure(source, budget)
+    return {
+        str(d): bool(divided.divided_set(g, *periodic.reduce_exponents(d, zp_power)))
         for d in periodic.candidate_root_orders(g, zp_power)
-    )
+    }
 
 
 def _root_centralizer(budget: int, source: str, zp_power: int, d: int) -> dict:

@@ -138,7 +138,10 @@ def build_garside(
     if not p.delta_word:
         raise GarsideError("delta word must be non-empty")
     oracle = congruence_classes(p, len(p.delta_word), budget)
-    g = GarsideStructure(p, budget)
+    # The constructor derives the tables from a germ; this build fills
+    # each table of a bare instance itself.
+    g = object.__new__(GarsideStructure)
+    g.presentation, g.budget = p, budget
 
     # Simples and balancedness.
     prefixes = _divisor_classes(oracle, p.delta_word, prefixes=True)

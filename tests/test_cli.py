@@ -50,24 +50,22 @@ def test_scenario_verify_pairs_searches_once(capsys, monkeypatch):
     assert calls == [()]
 
 
-@pytest.mark.parametrize("suite, calls", [("verify-g12", 9), ("verify-g13", 10)])
-def test_scenario_sweeps_roots_once(capsys, monkeypatch, suite, calls):
-    # The roots-exist row and the roots-vs-regular row share one sweep over
-    # the candidate orders; only the centralizer row asks again.
-    from garside import periodic, scenarios
+@pytest.mark.parametrize("suite", ["verify-g12", "verify-g13"])
+def test_scenario_builds_a_roots_category_once(capsys, monkeypatch, suite):
+    # The roots-exist and roots-vs-regular rows read D_p^q alone; only the
+    # centralizer row asks for a roots report, and so for a category.
+    from garside import periodic
 
     report, seen = periodic.roots_report, []
 
     def counted(*args, **kwargs):
-        seen.append((args[1:], sorted(kwargs.items())))
+        seen.append(kwargs)
         return report(*args, **kwargs)
 
     monkeypatch.setattr(periodic, "roots_report", counted)
-    scenarios._root_existence.cache_clear()
     rc, out, _ = run(capsys, "scenario", suite)
     assert rc == 0 and json.loads(out)["pass"] is True
-    assert len(seen) == calls
-    assert len({repr(call) for call in seen}) == calls
+    assert seen == [{"with_centralizer": True}]
 
 
 def test_scenario_output_is_byte_stable(capsys):
@@ -100,6 +98,18 @@ def test_scenario_budget_overrun_emits_no_report(capsys):
     assert rc == 2
     assert out == ""
     assert err == "error: stratum of length 9 has 19683 words, over the budget of 19682\n"
+
+
+def test_scenario_budget_at_the_first_stratum(capsys):
+    # g12's three generators make 81 words of length 4: budget 80 refuses
+    # the build, and 81 runs every row, the roots rows included, as by default.
+    rc, out, err = run(capsys, "scenario", "verify-g12", "--budget", "80")
+    assert (rc, out) == (2, "")
+    assert err == "error: stratum of length 4 has 81 words, over the budget of 80\n"
+    rc, out, err = run(capsys, "scenario", "verify-g12", "--budget", "81")
+    assert (rc, err) == (0, "")
+    digest = "ac2354ded9ccdda60d1eed52d2b879b28a25984073f8ffb1029bd15c72640633"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_scenario_timings_flag(capsys):

@@ -11,13 +11,16 @@ from garside import bundled
 from garside.errors import AxiomViolation
 from garside.monoid import (
     IDENTITY_NF,
+    GarsideStructure,
     NormalForm,
     _bound_table,
     build_garside,
     verify_presentation,
 )
 from garside.presentation import (
+    DEFAULT_BUDGET,
     CongruenceTable,
+    Presentation,
     congruence_classes,
     parse_presentation,
 )
@@ -160,10 +163,99 @@ def test_product_table_matches_word_lookup(any_structure):
             assert g.simple_product(a, b) == lookup(g.simples[a] + g.simples[b]), (a, b)
 
 
+# -- the germ: GarsideStructure(p, budget, simples, right) --------------------
+
+
+def _assert_same_structure(g, h):
+    # Every table, the simples' words, Delta, the atoms and the budget.
+    assert vars(g).keys() == vars(h).keys()
+    for key, value in vars(g).items():
+        assert vars(h)[key] == value, key
+
+
+def _typeb_germ(n):
+    """The germ of typeb<n> from the signed permutations of 1..n.
+
+    b1 negates the first entry and b(i+1) swaps entries i and i+1.  The
+    elements come in length layers from the identity; x . t lies in the
+    next layer exactly when it was not met before, and only then is
+    right[t][x] set.  A lex-least word is the least of word(x) + (t,) over
+    the x . t it is.
+    """
+
+    def times(w, t):
+        w = list(w)
+        if t:
+            w[t - 1], w[t] = w[t], w[t - 1]
+        else:
+            w[0] = -w[0]
+        return tuple(w)
+
+    words = {tuple(range(1, n + 1)): ()}
+    layer = list(words)
+    while layer:
+        grown = {}
+        for w in layer:
+            for t in range(n):
+                y = times(w, t)
+                if y not in words:
+                    word = words[w] + (t,)
+                    grown[y] = min(grown.get(y, word), word)
+        words.update(grown)
+        layer = list(grown)
+    elements = sorted(words, key=lambda w: (len(words[w]), words[w]))
+    ids = {w: i for i, w in enumerate(elements)}
+    right = [{} for _ in range(n)]
+    for w in elements:
+        for t, row in enumerate(right):
+            y = times(w, t)
+            if len(words[y]) > len(words[w]):
+                row[ids[w]] = ids[y]
+    return tuple(words[w] for w in elements), right
+
+
+@pytest.mark.parametrize("name", ("g12", "g13", "typeb2", "typeb3"))
+def test_germ_round_trip(name):
+    # right read back from a built structure's product table gives it again.
+    g = bundled.get_structure(name)
+    right = [
+        {x: y for x, row in enumerate(g.product_table) if (y := row[a]) is not None}
+        for a in g.generator_atoms
+    ]
+    h = GarsideStructure(g.presentation, g.budget, g.simples, right)
+    _assert_same_structure(h, g)
+
+
+@pytest.mark.parametrize("length", [1, 2, 300])
+def test_one_generator_germ(length):
+    # <a | Delta = a^L>: the simples a^0 .. a^L, and a^i . a = a^(i+1) for i < L.
+    p = Presentation(("a",), (), (0,) * length)
+    simples = tuple((0,) * i for i in range(length + 1))
+    right = [{i: i + 1 for i in range(length)}]
+    h = GarsideStructure(p, DEFAULT_BUDGET, simples, right)
+    _assert_same_structure(h, build_garside(p))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_signed_permutation_germ_matches_closure(n):
+    simples, right = _typeb_germ(n)
+    h = GarsideStructure(typeb_presentation(n), DEFAULT_BUDGET, simples, right)
+    _assert_same_structure(h, bundled.get_structure(f"typeb{n}"))
+
+
+def test_germ_without_an_atom_is_refused():
+    simples, right = _typeb_germ(2)
+    del right[1][0]  # b2 is no longer the identity times b2
+    with pytest.raises(AxiomViolation) as caught:
+        GarsideStructure(typeb_presentation(2), DEFAULT_BUDGET, simples, right)
+    assert caught.value.kind == "balanced"
+    assert caught.value.witnesses == ["generator b2 does not divide delta"]
+
+
 @pytest.mark.parametrize("name", ("g12", "g13", "typeb2", "typeb3"))
 def test_structure_keeps_no_words(name):
-    # The oracle and right multiplication by the generators are locals of
-    # the build; the structure keeps one word per simple and its tables.
+    # The oracle is a local of the build, and the structure keeps neither
+    # the right multiplication of its germ nor any word but one per simple.
     # Nor does it keep a table whose rows hold tuples: a pair per entry of an
     # n x n table is derived when read.
     for value in vars(bundled.get_structure(name)).values():
@@ -178,8 +270,8 @@ def test_structure_keeps_no_words(name):
 
 @pytest.mark.parametrize("name, limit_kib", [("g13", 400), ("typeb3", 130)])
 def test_built_structure_holds_small_tables(name, limit_kib):
-    # What a built structure holds once the oracle and the word map of its
-    # build are collected: n x n tables of small ints.  The bounds sit
+    # What a built structure holds once the oracle and the right
+    # multiplication of its build are collected: n x n tables of small ints.  The bounds sit
     # between what those tables take (about 225 and 75 KiB) and what one
     # stored pair per entry would add to them.
     p = bundled.load_presentation(name)

@@ -151,3 +151,15 @@ def test_bezout_pair_needs_positive_exponents(p, q):
     message = rf"^exponents must be positive, got \({p}, {q}\)$"
     with pytest.raises(PeriodicityError, match=message):
         bezout_pair(p, q)
+
+
+@pytest.mark.parametrize("source, zp_power", [("g12", 6), ("g13", 4), ("typeb3", 2)])
+def test_roots_exist_from_the_divided_set(source, zp_power):
+    # The scenario rows read D_p^q alone; roots_report builds C_p^q.
+    from garside import bundled, scenarios
+
+    g = bundled.get_structure(source)
+    exists = scenarios._roots_exist(g.budget, source, zp_power)
+    assert list(exists) == [str(d) for d in candidate_root_orders(g, zp_power)]
+    for d, found in exists.items():
+        assert found is roots_report(g, zp_power, int(d)).exists, d
