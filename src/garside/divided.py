@@ -39,8 +39,9 @@ lex order of their 3p-tuples.
 
 Vertex groups come from the standard groupoid contraction: spanning tree,
 one loop generator per non-tree edge, one relator per presented relation,
-plus an indexed Tietze pass and the collapse map to the Garside group
-(a path maps to the signed product of first entries).
+plus a Tietze pass whose stored images stay in the surviving generators, and
+the collapse map to the Garside group (a path maps to the signed product of
+first entries).
 """
 
 from __future__ import annotations
@@ -486,15 +487,18 @@ def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:
     marks them pending and pushes them.  A pending relator takes every
     substitution made since its last rewrite in one pass when the heap next
     pops it, and is then free-reduced, recounted, and dropped if empty; the
-    heap ends empty, so no relator is left pending.  An eliminated
-    generator's image is kept resolved in the surviving generators; it is
-    resolved again, free-reduced and stored back only once one of its own
-    generators has gone.  Substitution is a free-group homomorphism and free
-    reduction is confluent, so a relator reaches the word that substituting
-    one generator at a time gives, and since every pending relator is on the
-    heap, each step picks the same relator and generator as rewriting every
-    holder at once would.  The image of x does not contain x, so every step
-    removes a generator for good and the pass always ends.
+    heap ends empty, so no relator is left pending.  Every stored image is a
+    word in the surviving generators, free-reduced each time a substitution
+    changes it: x's image is cut from a relator rewritten just before, so it
+    holds only survivors other than x, and each generator lists the eliminated
+    generators whose image has held it, so the step substitutes x's image into
+    exactly the images that hold x.  Substitution is a free-group homomorphism
+    and free reduction is confluent, so one pass with the current images gives
+    a pending relator the word that substituting one generator at a time
+    gives, and since every pending relator is on the heap, each step picks the
+    same relator and generator as rewriting every holder at once would.  The
+    image of x does not contain x, so every step removes a generator for good
+    and the pass always ends.
     """
     relators: list[list[int] | None] = [
         r for r in (_free_reduce(list(r)) for r in v.relators) if r
@@ -509,32 +513,9 @@ def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:
     gens = set(range(1, len(v.loop_edges) + 1))
     pending: set[int] = set()
     # Eliminated generator x (and -x) -> its image (the inverse image), and
-    # checked[x] the number of eliminations when the image was last known
-    # to use only survivors.
+    # generator -> every eliminated generator whose image has held it.
     images: dict[int, list[int]] = {}
-    checked: dict[int, int] = {}
-    step = 0
-
-    def resolve(x: int) -> None:
-        # Depth first without recursion: an image names only generators
-        # eliminated after its own, so the chains end, but may be long.  By
-        # the time an image is expanded, the images it names are current.
-        stack = [x]
-        while stack:
-            y = stack[-1]
-            if checked[y] == step:
-                stack.pop()
-                continue
-            gone = {abs(z) for z in images[y] if z in images}
-            stale = [z for z in gone if checked[z] != step]
-            if stale:
-                stack.extend(stale)
-                continue
-            stack.pop()
-            checked[y] = step
-            if gone:
-                image = images[y] = expand(images[y])
-                images[-y] = [-z for z in reversed(image)]
+    holds: dict[int, list[int]] = {}
 
     def expand(word: list[int]) -> list[int]:
         out: list[int] = []
@@ -542,12 +523,15 @@ def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:
             image = images.get(y)
             if image is None:
                 out.append(y)
-                continue
-            if checked[abs(y)] != step:
-                resolve(abs(y))
-                image = images[y]
-            out.extend(image)
+            else:
+                out.extend(image)
         return _free_reduce(out)
+
+    def store(x: int, image: list[int], old: set[int]) -> None:
+        images[x] = image
+        images[-x] = [-y for y in reversed(image)]
+        for y in {abs(y) for y in image} - old:
+            holds.setdefault(y, []).append(x)
 
     def rewrite(j: int) -> None:
         word = expand(relators[j])
@@ -579,10 +563,11 @@ def simplify_presentation(v: VertexGroupPresentation) -> SimplifiedPresentation:
             image = [-y for y in reversed(before)] + [-y for y in reversed(after)]
         else:
             image = after + before
-        step += 1
-        images[x] = image
-        images[-x] = [-y for y in reversed(image)]
-        checked[x] = step
+        store(x, image, set())
+        for z in holds.pop(x, ()):
+            old = {abs(y) for y in images[z]}
+            if x in old:  # else x was already substituted into z's image
+                store(z, expand(images[z]), old)
         for j in holders.pop(x):
             if j in pending or counts[j] is None or x not in counts[j]:
                 continue  # already pending, dropped, or x already substituted

@@ -145,7 +145,8 @@ def test_deep_image_chain_resolves_without_recursion():
 def test_relators_are_rewritten_once_per_pop(monkeypatch):
     # g13 C_1^2: 89 loops, 631 relators and 86 eliminations.  Rewriting every
     # holder at each elimination free-reduces 3,565 words; rewriting a relator
-    # only when the heap pops it free-reduces 1,279.  vertex_group leaves its
+    # only when the heap pops it, and each stored image that holds the
+    # eliminated generator, free-reduces 1,296.  vertex_group leaves its
     # relators to the pass, which reduces each once on the way in.
     cat = build_category(bundled.get_structure("g13"), 1, 2)
     calls = []
