@@ -69,18 +69,25 @@ has passed, instead of walking Delta through the whole prefix.  The sweep
 keeps its factors in a frame twisted by a pending power of phi, which each
 Delta taken out raises by one, and the caller untwists once at the end.
 An inverse letter a^-1 = ∂a . Delta^-1 is taken as
-x . a^-1 = Delta^-1 . phi^-1(x . ∂a), which lowers the twist by one.  A
-normal form is one sweep over its word, after each run of letters of one
-sign is folded into fewer simples through the product table, and a
-product one sweep over the right factor's simples; a random signed word
-costs one or two splitting lookups per letter, whatever its length.
+x . a^-1 = Delta^-1 . phi^-1(x . ∂a), which lowers the twist by one.  As
+the Delta power moves with the twist, the twist is that power modulo
+phi's order, and the sweep returns the power alone.  The sweep reads the
+letters themselves, (key, sign) pairs and a map from key to simple: the
+generator atoms for a word in the generators, the identity for a product
+of simples.  It folds each run of letters of one sign into one simple
+through the product table as it reads them, and takes the run into the
+factors as soon as the next letter does not fold.  A normal form is one
+sweep over its word, and a product one sweep over the right factor's
+simples; a random signed word costs one or two splitting lookups per
+letter, whatever its length.  The atom map is a dict, so its lookup
+refuses a generator index out of range, a negative one included.
 Inversion has the closed form of El-Rifai and Morton.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .errors import AxiomViolation, GarsideError
@@ -99,6 +106,11 @@ class NormalForm(namedtuple("NormalForm", ["delta_power", "factors"])):
     __slots__ = ()
 
 IDENTITY_NF = NormalForm(0, ())
+
+# The letter _sweep reads after a word's last.  Its sign, 0, is no run's
+# (letters are signed +-1), so it ends the last run; key 0 is generator 0,
+# or the identity among the simples.
+_END = ((0, 0),)
 
 
 class GarsideStructure:
@@ -137,6 +149,7 @@ class GarsideStructure:
             name = presentation.generators[atom_ids.index(None)]
             raise AxiomViolation("balanced", [f"generator {name} does not divide delta"])
         self.generator_atoms = tuple(atom_ids)  # generator index -> atom
+        self._atom_of = dict(enumerate(atom_ids))  # refuses a bad index
         self.atoms = tuple(sorted(set(atom_ids)))
         # The lex-least word of b, less its last letter t, is the lex-least
         # word of a shorter simple b' (a lesser word of b' then t would be a
@@ -223,19 +236,27 @@ class GarsideStructure:
 
     # -- normal forms ------------------------------------------------------
 
-    def _sweep(self, factors: list[int], runs) -> tuple[int, int]:
-        """Right-multiply left-weighted proper factors in place by runs,
-        (simple, positive) pairs with s^-1 for a negative s.
+    def _sweep(self, factors: list[int], letters, simple_of) -> int:
+        """Right-multiply left-weighted proper factors in place by letters,
+        (key, sign) pairs standing for simple_of[key] to the power sign.
 
-        Returns (p, t), 0 <= t < phi order: the old factors times the runs
-        are Delta^p . phi^t(new factors).  A positive s appends phi^-t(s),
-        and a negative one phi^-t(ds) then Delta^-1, as y . s^-1 =
-        y . ds . Delta^-1 and y . Delta^-1 = Delta^-1 . phi^-1(y).  Each
+        Returns p: the old factors times the letters are
+        Delta^p . phi^t(new factors), t = p mod phi's order, as every Delta
+        taken out, and every inverse letter, moves p and t together.  Each
+        run of letters of one sign is folded left to right as it is read: a
+        letter joins the run while the product table has their product,
+        r . s for positive letters and s . r for inverse ones, as
+        r^-1 . s^-1 = (s . r)^-1.  A letter that does not join ends the run,
+        which the frame then takes: a positive run r appends phi^-t(r), and
+        a negative one phi^-t(dr) then Delta^-1, as y . r^-1 =
+        y . dr . Delta^-1 and y . Delta^-1 = Delta^-1 . phi^-1(y).  Each
         append re-splits the pairs (f_i, f_i+1) right to left into
         (f_i . e, d), e = gcd(comp(f_i), f_i+1) and e . d = f_i+1, up to
         the first pair with e = 1 or until the carried f_i is Delta, which
         is dropped as the passed suffix is relabelled by phi^-1 and the
         frame twists by phi.  An identity can arise only at the back.
+        A key that simple_of refuses raises from its lookup (KeyError for
+        a dict).
         """
         split = self.split
         product = self.product_table
@@ -245,10 +266,17 @@ class GarsideStructure:
         powers = self._phi_powers
         order = len(powers)
         untwist = powers[-1].__getitem__  # phi^-1
-        p = t = 0
+        p = 0
         perm = powers[0]  # phi^-t
-        for s, positive in runs:
-            b = perm[s] if positive else perm[comp[s]]  # the carried simple
+        run, run_sign, positive = self.identity, 1, True
+        for key, sign in chain(letters, _END):
+            s = simple_of[key]
+            if sign == run_sign:
+                folded = product[run][s] if positive else product[s][run]
+                if folded is not None:
+                    run = folded
+                    continue
+            b = perm[run] if positive else perm[comp[run]]  # the carried simple
             i = len(factors)
             factors.append(b)
             while i and b != delta:
@@ -264,68 +292,53 @@ class GarsideStructure:
                     factors.pop()
                 if not positive:
                     p -= 1
-                    t = (t - 1) % order
-                    perm = powers[-t]
-                continue
-            del factors[i]  # only the carry can be Delta, and it sits at i
-            if order > 1:
-                factors[i:] = map(untwist, factors[i:])
-            if factors and not factors[-1]:
-                factors.pop()
-            if positive:
-                p += 1
-                t = (t + 1) % order
-                perm = powers[-t]
-        return p, t
+                    perm = powers[-p % order]
+            else:
+                del factors[i]  # only the carry can be Delta, and it sits at i
+                if order > 1:
+                    factors[i:] = map(untwist, factors[i:])
+                if factors and not factors[-1]:
+                    factors.pop()
+                if positive:
+                    p += 1
+                    perm = powers[-p % order]
+            run, run_sign, positive = s, sign, sign > 0
+        return p
 
-    def _check_range(self, seen: set[int], indices) -> None:
-        """Refuse the first of indices out of range; seen, their set, is
-        checked once, as a bare read would wrap a negative index."""
-        n = len(self.generator_atoms)
-        if seen and (min(seen) < 0 or max(seen) >= n):
-            bad = next(gi for gi in indices if not 0 <= gi < n)
-            raise GarsideError(f"generator index {bad} is out of range")
+    def _untwist(self, p: int, factors: list[int]) -> tuple[int, ...]:
+        """phi^t(factors), t = p mod phi's order, for the p _sweep returned."""
+        t = p % len(self._phi_powers)
+        if t:
+            factors = map(self._phi_powers[t].__getitem__, factors)
+        return tuple(factors)
+
+    def _generator_normal_form(self, letters, indices) -> NormalForm:
+        """Normal form of letters keyed by generator index.  The atom map
+        refuses a bad index; only then are indices read for the first."""
+        factors: list[int] = []
+        try:
+            p = self._sweep(factors, letters, self._atom_of)
+        except KeyError:
+            bad = next(gi for gi in indices if gi not in self._atom_of)
+            raise GarsideError(f"generator index {bad} is out of range") from None
+        return NormalForm(p, self._untwist(p, factors))
 
     def normal_form(self, word: Word) -> NormalForm:
         """Normal form of a positive word in the generators."""
-        self._check_range(set(word), word)
-        atoms = self.generator_atoms
-        return self.normal_form_simples([(atoms[gi], 1) for gi in word])
+        return self._generator_normal_form(zip(word, repeat(1)), word)
 
     def normal_form_signed(self, letters: list[tuple[int, int]]) -> NormalForm:
         """Normal form of a group word given as (generator index, +-1) pairs."""
-        index = itemgetter(0)
-        self._check_range(set(map(index, letters)), map(index, letters))
-        atoms = self.generator_atoms
-        return self.normal_form_simples([(atoms[gi], sign) for gi, sign in letters])
+        return self._generator_normal_form(letters, map(itemgetter(0), letters))
 
     def normal_form_simples(self, letters: list[tuple[int, int]]) -> NormalForm:
-        """Normal form of a product of simples given as (simple id, +-1) pairs.
-
-        Each run of letters of one sign is folded left to right: a letter
-        joins the simple before it while the product table has their
-        product, a . b for positive letters and b . a for inverse ones, as
-        a^-1 . b^-1 = (b . a)^-1.  Left normal forms are unique, so the
-        folding changes the work and not the result.  One sweep then
-        multiplies the identity by the runs.
-        """
-        product = self.product_table
-        runs: list[tuple[int, bool]] = []
-        run, positive = self.identity, True
-        for s, sign in letters:
-            if (sign > 0) == positive:
-                folded = product[run][s] if positive else product[s][run]
-                if folded is not None:
-                    run = folded
-                    continue
-            runs.append((run, positive))
-            run, positive = s, sign > 0
-        runs.append((run, positive))
+        """Normal form of a product of simples given as (simple id, +-1) pairs:
+        one sweep multiplies the identity by the letters.  The identity and
+        Delta may be letters.  Left normal forms are unique, so the runs the
+        sweep folds change the work and not the result."""
         factors: list[int] = []
-        p, t = self._sweep(factors, runs)
-        if t:
-            factors = map(self._phi_powers[t].__getitem__, factors)
-        return NormalForm(p, tuple(factors))
+        p = self._sweep(factors, letters, self._phi_powers[0])
+        return NormalForm(p, self._untwist(p, factors))
 
     def nf_length(self, x: NormalForm) -> int:
         return x.delta_power * self.delta_length + sum(
@@ -336,13 +349,13 @@ class GarsideStructure:
 
     def multiply(self, x: NormalForm, y: NormalForm) -> NormalForm:
         """x . y = Delta^(p+q) . phi^q(x's factors) . y's factors, q = y's
-        power: one sweep appends y's factors to x's twisted ones."""
+        power: one sweep appends y's factors to x's twisted ones.  No two of
+        them fold, as a left-weighted pair (a, b) has a . b simple only when
+        b = 1."""
         perm = self.phi_power_perm(y.delta_power)
         factors = [perm[f] for f in x.factors]
-        p, t = self._sweep(factors, zip(y.factors, repeat(True)))
-        if t:
-            factors = map(self._phi_powers[t].__getitem__, factors)
-        return NormalForm(x.delta_power + y.delta_power + p, tuple(factors))
+        p = self._sweep(factors, zip(y.factors, repeat(1)), self._phi_powers[0])
+        return NormalForm(x.delta_power + y.delta_power + p, self._untwist(p, factors))
 
     def invert(self, x: NormalForm) -> NormalForm:
         """Closed form, left-weighted as it stands: for x = Delta^p f_1...f_k,
@@ -493,28 +506,37 @@ def build_garside(
     return GarsideStructure(p, budget, simples, right)
 
 
+def axiom_stages(violation: AxiomViolation | None = None) -> dict[str, bool | None]:
+    """The "axioms" of a verification report: every stage True, or, for the
+    violation a build raised, True before its stage, False at it and None
+    after."""
+    stages = ("balanced", "lattice", "phi")
+    if violation is None:
+        return dict.fromkeys(stages, True)
+    axioms: dict[str, bool | None] = dict.fromkeys(stages)
+    for stage in stages:
+        if stage == violation.kind:
+            axioms[stage] = False
+            break
+        axioms[stage] = True
+    return axioms
+
+
 def verify_presentation(p: Presentation, budget: int = DEFAULT_BUDGET) -> dict:
     """Run the staged axiom checks and emit the verification report."""
-    stages = ("balanced", "lattice", "phi")
-    axioms: dict[str, bool | None] = {s: None for s in stages}
     try:
         g = build_garside(p, budget)
     except AxiomViolation as exc:
-        for stage in stages:
-            if stage == exc.kind:
-                axioms[stage] = False
-                break
-            axioms[stage] = True
         return {
             "schema": 1,
-            "axioms": axioms,
+            "axioms": axiom_stages(exc),
             "simple_count": None,
             "phi_order": None,
             "witnesses": exc.witnesses,
         }
     return {
         "schema": 1,
-        "axioms": {s: True for s in stages},
+        "axioms": axiom_stages(),
         "simple_count": len(g.simples),
         "phi_order": g.phi_order,
         "witnesses": [],

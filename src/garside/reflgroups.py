@@ -149,25 +149,30 @@ def series_data(de: int, e: int, n: int) -> GroupData:
         raise UnknownGroup(f"G({de},{e},{n}): parameters must be positive")
     if de % e != 0:
         raise UnknownGroup(f"G({de},{e},{n}): e must divide de")
-    d = de // e
     name = f"G({de},{e},{n})"
+    if n == 1 and de == e:
+        raise UnknownGroup(f"{name}: trivial group, no reflections")
+    degrees, codegrees = _series_invariants(de, e, n)
+    return GroupData(name, degrees, codegrees, n - 1 if de == 1 else n)
+
+
+def _series_invariants(
+    de: int, e: int, n: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sorted degrees and codegrees of G(de, e, n), for parameters
+    series_data accepts."""
+    d = de // e
     if n == 1:
-        if d == 1:
-            raise UnknownGroup(f"{name}: trivial group, no reflections")
-        return GroupData(name, (d,), (0,), 1)
+        return (d,), (0,)
     if de == 1:
         # Symmetric group on n letters, rank n - 1.
-        degrees = tuple(range(2, n + 1))
-        codegrees = tuple(range(0, n - 1))
-        return GroupData(name, degrees, codegrees, n - 1)
-    degrees = sorted(de * k for k in range(1, n)) + [d * n]
+        return tuple(range(2, n + 1)), tuple(range(0, n - 1))
+    degrees = [de * k for k in range(1, n)] + [d * n]
     if d > 1:
         codegrees = [de * k for k in range(0, n)]
     else:
         codegrees = [e * k for k in range(0, n - 1)] + [e * (n - 1) - n]
-    return GroupData(
-        name, tuple(sorted(degrees)), tuple(sorted(codegrees)), n
-    )
+    return tuple(sorted(degrees)), tuple(sorted(codegrees))
 
 
 def group_data(name: str) -> GroupData:
@@ -225,9 +230,8 @@ def regularity(
     a, b = _divisible(data, d)
     if len(a) != len(b):
         return RegularityReport(d, a, b, False, None, None, None)
-    members = tuple(
-        e for e in regular_numbers(data, budget) if _divisible(data, e) == (a, b)
-    )
+    regular_numbers(data, budget)  # refuses a listing over the budget
+    members = _regularity_classes(data)[a, b]
     minimum = next(
         (e for e in members if all(other % e == 0 for other in members)), None
     )
@@ -255,10 +259,11 @@ def regular_numbers(data: GroupData, budget: int | None = None) -> tuple[int, ..
     return _regular_numbers(data)
 
 
-# `regularity` reads the regular numbers once per regular d, so a report of
-# every regular number would otherwise rescan the divisors of the degrees
-# for each.  The cache sits on a private function: the public one stays a
-# plain function, which tools that wrap a module's functions recognise.
+# `regularity` reads the regular numbers and their classes once per regular
+# d, so a report of every regular number would otherwise rescan the divisors
+# of the degrees, and every regular number for its class, for each.  The
+# caches sit on private functions: the public ones stay plain functions,
+# which tools that wrap a module's functions recognise.
 @lru_cache(maxsize=64)
 def _regular_numbers(data: GroupData) -> tuple[int, ...]:
     candidates = set()
@@ -268,6 +273,19 @@ def _regular_numbers(data: GroupData) -> tuple[int, ...]:
                 candidates.update((k, degree // k))
     filters = ((d, *_divisible(data, d)) for d in sorted(candidates))
     return tuple(d for d, a, b in filters if len(a) == len(b))
+
+
+@lru_cache(maxsize=64)
+def _regularity_classes(
+    data: GroupData,
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
+    """The regular numbers by class: (a, b), the degrees and codegrees a
+    class divides, to its members in ascending order."""
+    classes: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+    for d in _regular_numbers(data):
+        key = _divisible(data, d)
+        classes[key] = classes.get(key, ()) + (d,)
+    return classes
 
 
 def _regular_reports(
@@ -318,15 +336,19 @@ def isodiscriminantal_pairs(
     2 <= n <= max_n and de <= max_de.  Two groups are paired when their
     degree multisets and codegree multisets both coincide.
     """
-    universe: list[GroupData] = list(exceptional_table().values())
-    for de, e, n in _series_universe(max_de, max_n):
-        universe.append(series_data(de, e, n))
-    by_key: dict[tuple[tuple[int, ...], tuple[int, ...]], list[GroupData]] = {}
-    for data in universe:
-        by_key.setdefault((data.degrees, data.codegrees), []).append(data)
+    # Group first, by the invariants alone, and name only the members of a
+    # group of two or more: few series members share their invariants.
+    by_key: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
+    for data in exceptional_table().values():
+        by_key.setdefault((data.degrees, data.codegrees), []).append(data.name)
+    for params in _series_universe(max_de, max_n):
+        by_key.setdefault(_series_invariants(*params), []).append(params)
     pairs = []
     for (degrees, codegrees), members in by_key.items():
-        for left, right in itertools.combinations(members, 2):
-            pairs.append(IsoPair(left.name, right.name, degrees, codegrees))
+        if len(members) < 2:
+            continue
+        names = [m if isinstance(m, str) else series_data(*m).name for m in members]
+        for left, right in itertools.combinations(names, 2):
+            pairs.append(IsoPair(left, right, degrees, codegrees))
     pairs.sort(key=lambda p: (p.degrees, p.codegrees, p.first, p.second))
     return pairs

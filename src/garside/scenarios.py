@@ -9,7 +9,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import bundled, divided, periodic, reflgroups, typeb
-from .monoid import NormalForm, verify_presentation
+from .errors import AxiomViolation
+from .monoid import NormalForm, axiom_stages
 from .periodic import _centralizer_payload
 from .presentation import _parse_signed_word
 from .reflgroups import _regular_reports
@@ -24,7 +25,13 @@ _CUBE_ROOTS = [["a b c"] * 3, ["b c a"] * 3, ["c a b"] * 3]
 
 
 def _axioms(budget: int, source: str) -> dict:
-    return verify_presentation(bundled.load_presentation(source, budget), budget)["axioms"]
+    # The cached build the suite's next rows read; a failed build is not
+    # cached, as it raises.
+    try:
+        bundled.get_structure(source, budget)
+    except AxiomViolation as exc:
+        return axiom_stages(exc)
+    return axiom_stages()
 
 
 def _simple_count(budget: int, source: str) -> int:

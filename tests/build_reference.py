@@ -167,6 +167,7 @@ def build_garside(
             )
         atom_ids.append(a)
     g.generator_atoms = tuple(atom_ids)
+    g._atom_of = dict(enumerate(atom_ids))
     g.atoms = tuple(sorted(set(atom_ids)))
     g.product_table = _product_table(g.simples, word_map)
 

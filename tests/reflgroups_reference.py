@@ -4,13 +4,21 @@ The original per-candidate version: `regular_numbers` builds the full
 regularity report of every d up to the bound and keeps the regular ones,
 and each regular report rescans every e up to the bound for its class.
 `series_universe` is the original pair-search universe, which tries every
-e <= de for every de.
+e <= de for every de, and `isodiscriminantal_pairs` the original search,
+which builds the named GroupData of every member of it.
 """
 
+import itertools
 import math
 
 from garside.errors import GarsideError
-from garside.reflgroups import GroupData, RegularityReport
+from garside.reflgroups import (
+    GroupData,
+    IsoPair,
+    RegularityReport,
+    exceptional_table,
+    series_data,
+)
 
 
 def regularity(data: GroupData, d: int) -> RegularityReport:
@@ -67,3 +75,19 @@ def series_universe(max_de: int, max_n: int) -> list[tuple[int, int, int]]:
                     continue
                 params.append((de, e, n))
     return params
+
+
+def isodiscriminantal_pairs(max_de: int, max_n: int) -> list[IsoPair]:
+    """Pairs of distinct groups sharing degrees and codegrees."""
+    universe = list(exceptional_table().values())
+    universe += [series_data(*params) for params in series_universe(max_de, max_n)]
+    by_key: dict = {}
+    for data in universe:
+        by_key.setdefault((data.degrees, data.codegrees), []).append(data)
+    pairs = [
+        IsoPair(left.name, right.name, *key)
+        for key, members in by_key.items()
+        for left, right in itertools.combinations(members, 2)
+    ]
+    pairs.sort(key=lambda p: (p.degrees, p.codegrees, p.first, p.second))
+    return pairs

@@ -13,7 +13,7 @@ import garside
 from garside import bundled
 from garside.cli import _emit, main
 from garside.errors import BudgetExceeded
-from garside.presentation import parse_presentation
+from garside.presentation import DEFAULT_BUDGET, parse_presentation
 from garside.typeb import typeb_presentation
 
 
@@ -66,6 +66,51 @@ def test_scenario_builds_a_roots_category_once(capsys, monkeypatch, suite):
     rc, out, _ = run(capsys, "scenario", suite)
     assert rc == 0 and json.loads(out)["pass"] is True
     assert seen == [{"with_centralizer": True}]
+
+
+@pytest.mark.parametrize(
+    "suite, names",
+    [("verify-g12", ["g12"]), ("verify-g13", ["g13"]), ("verify-typeb", ["typeb2", "typeb3"])],
+)
+def test_scenario_builds_each_structure_once(capsys, monkeypatch, suite, names):
+    # The axioms row reads the cached structure that the suite's later rows
+    # read, rather than building its own.
+    from garside import monoid
+
+    build, built = monoid.build_garside, []
+
+    def counted(p, budget):
+        built.append(p)
+        return build(p, budget)
+
+    monkeypatch.setattr(monoid, "build_garside", counted)
+    monkeypatch.setattr(bundled, "build_garside", counted)
+    bundled._structure.cache_clear()
+    try:
+        rc, out, _ = run(capsys, "scenario", suite)
+    finally:
+        bundled._structure.cache_clear()
+    assert rc == 0 and json.loads(out)["pass"] is True
+    assert built == [bundled.load_presentation(name) for name in names]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gens: a b c\nrel: a b = b a\ndelta: a b\n",
+        "gens: a b\nrel: a b = b a\nrel: a a = b b\ndelta: b a b a\n",
+        "gens: a b\nrel: a b a = b a b\ndelta: a b a\n",
+    ],
+)
+def test_scenario_axioms_row_matches_verify(tmp_path, text):
+    # A failed build (balanced, then lattice) and a passing one.
+    from garside import scenarios
+    from garside.monoid import verify_presentation
+
+    path = tmp_path / "p.gar"
+    path.write_text(text)
+    report = verify_presentation(bundled.load_presentation(str(path)))
+    assert scenarios._axioms(DEFAULT_BUDGET, str(path)) == report["axioms"]
 
 
 def test_scenario_output_is_byte_stable(capsys):

@@ -167,6 +167,58 @@ def test_simple_letters_match_sweep_reference(name):
     assert g.normal_form_simples(pieces[3] * 3) == NormalForm(-3, ())
 
 
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_short_and_edge_words_match_reference(name):
+    # The empty word, every single letter, words whose last run is inverse,
+    # and products of simples among which the identity and Delta are common.
+    g = bundled.get_structure(name)
+    n, count = len(g.presentation.generators), len(g.simples)
+    assert g.normal_form(()) == g.normal_form_signed([]) == IDENTITY_NF
+    assert g.normal_form_simples([]) == IDENTITY_NF
+    for gi in range(n):
+        assert g.normal_form((gi,)) == ref.normal_form(g, (gi,))
+        for sign in (1, -1):
+            assert g.normal_form_signed([(gi, sign)]) == ref.normal_form_signed(g, [(gi, sign)])
+    for s in range(count):
+        for sign in (1, -1):
+            assert g.normal_form_simples([(s, sign)]) == ref.normal_form_simples(g, [(s, sign)])
+    rng = random.Random(f"edges:{name}")
+    for _ in range(30):
+        tail = [(rng.randrange(n), -1) for _ in range(rng.randrange(1, 6))]
+        word = _random_signed(g, rng, rng.randrange(30)) + tail
+        assert g.normal_form_signed(word) == ref.normal_form_signed(g, word)
+        letters = [
+            (rng.choice((g.identity, g.delta, rng.randrange(count))), rng.choice((1, -1)))
+            for _ in range(rng.randrange(1, 20))
+        ]
+        assert g.normal_form_simples(letters) == ref.normal_form_simples(g, letters)
+
+
+def test_long_g12_words_take_every_twist():
+    # phi has order 3 on g12, so the untwist at the end of a sweep is
+    # phi^(p mod 3); words with Delta runs of either sign, each ending in an
+    # inverse run, reach every residue.
+    g = bundled.get_structure("g12")
+    rng = random.Random("twist-words:g12")
+    delta_word = g.presentation.delta_word
+    twists = set()
+    for k in range(9):
+        letters = []
+        while len(letters) < 1500:
+            if rng.random() < 0.2:
+                sign = rng.choice((1, -1))
+                letters += [(gi, sign) for gi in (delta_word if sign > 0 else delta_word[::-1])]
+            else:
+                letters.append((rng.randrange(3), rng.choice((1, -1))))
+        letters += [(rng.randrange(3), -1) for _ in range(k % 3 + 1)]
+        x = g.normal_form_signed(letters)
+        atoms = [(g.generator_atoms[gi], sign) for gi, sign in letters]
+        assert x == ref.sweep_normal_form_simples(g, atoms)
+        assert g.normal_form_simples(atoms) == x
+        twists.add(x.delta_power % g.phi_order)
+    assert g.phi_order == 3 and twists == {0, 1, 2}
+
+
 class _CountingRow(list):
     """A row of the splitting table that counts its lookups."""
 

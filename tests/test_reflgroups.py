@@ -7,6 +7,8 @@ from garside.errors import GarsideError, UnknownGroup
 from garside.reflgroups import (
     GroupData,
     _regular_numbers,
+    _regular_reports,
+    _regularity_classes,
     _series_universe,
     center_order,
     exceptional_table,
@@ -195,6 +197,14 @@ def test_isodiscriminantal_pairs_smaller_universe():
     assert [(p.first, p.second) for p in pairs] == PAIRS[:5]
 
 
+@pytest.mark.parametrize("max_de, max_n", [(6, 4), (30, 10), (120, 10), (300, 12)])
+def test_isodiscriminantal_pairs_match_reference(max_de, max_n):
+    # The reference names every group of the universe; the search names
+    # only the members of a group of two or more.
+    expected = reflgroups_reference.isodiscriminantal_pairs(max_de, max_n)
+    assert isodiscriminantal_pairs(max_de, max_n) == expected
+
+
 def test_series_universe_matches_reference():
     # Divisors listed from their multiples, then sorted, give the universe
     # of the divisor scan in the same order, so the pairs keep first/second.
@@ -202,6 +212,16 @@ def test_series_universe_matches_reference():
         for max_de in range(201):
             expected = reflgroups_reference.series_universe(max_de, max_n)
             assert _series_universe(max_de, max_n) == expected, (max_de, max_n)
+
+
+@pytest.mark.parametrize("name", ["G12", "G37", "G(24,4,3)"])
+def test_regularity_classes_are_listed_once_per_group(name):
+    data = group_data(name)
+    _regularity_classes.cache_clear()
+    reports = _regular_reports(data)
+    info = _regularity_classes.cache_info()
+    assert (info.misses, info.hits) == (1, len(reports) - 1)
+    assert all(report.d in report.r_class for report in reports)
 
 
 def test_regularity_matches_reference():
