@@ -362,6 +362,68 @@ def test_category_holds_no_transient_columns(b3):
     assert peak - held < 2**20
 
 
+G13_4_4_REFUSAL = "D_8^8 has at least 59050 tuples, over the budget of 59049"
+
+
+def test_build_category_runs_no_collection(b3):
+    # typeb3's C_2^2 makes enough new containers to set off about 250
+    # collections with the collector on; the assembly pauses it.
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        cat = build_category(b3, 2, 2)
+    finally:
+        gc.callbacks.remove(count)
+        if not enabled:
+            gc.disable()
+    assert len(cat.triples) == 26782
+    assert collections == []
+
+
+@pytest.mark.parametrize("on", [True, False])
+def test_build_category_restores_the_collector(b3, g13, on):
+    enabled = gc.isenabled()
+    (gc.enable if on else gc.disable)()
+    try:
+        build_category(b3, 2, 2)
+        after_build = gc.isenabled()
+        with pytest.raises(BudgetExceeded) as refused:
+            build_category(g13, 4, 4)
+        after_refusal = gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    assert str(refused.value) == G13_4_4_REFUSAL
+    assert after_build is on
+    assert after_refusal is on
+
+
+@pytest.mark.parametrize("name, p, q", [("typeb3", 2, 2), ("g13", 3, 4), ("g13", 4, 4)])
+def test_build_category_makes_no_cycles(name, p, q):
+    # build_category pauses the collector because the assembly, its walks
+    # and its budget refusal leave nothing that only the collector can free.
+    g = get_structure(name)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        try:
+            build_category(g, p, q)
+        except BudgetExceeded as exc:
+            assert str(exc) == G13_4_4_REFUSAL
+        unreachable = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert unreachable == 0
+
+
 BUDGET_CASES = ((2, 0), (3, 0), (4, 4), (2, 3), (3, 1), (4, 2), (6, 3), (4, 6))
 
 # The size of D_m^n for each of BUDGET_CASES, or the message that refuses
