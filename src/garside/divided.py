@@ -20,25 +20,37 @@ tuples than the budget the structure was built under.  With n = 0 the only
 end is Delta, and the walk lists all decompositions of Delta.
 
 C_p^q has objects D_p^q, generating morphisms D_2p^2q, and relations induced
-by D_3p^3q (each 3p-tuple yields a composable triple f;g = h).  The assembly
-works on whole columns: D_2p^2q and D_3p^3q are transposed once, and column
-i of their twisted products t_i t_i+1 (phi(t_1) following t_m) is read from
-the structure's two-simple product table in one pass.  A morphism's
-endpoints are the rows of alternate product columns, looked up in the index
-of D_p^q; a triple's three parts are fixed picks of entry and product
-columns, looked up in one index of all of D_2p^2q.  Tuples of the
+by D_3p^3q: each u = (a_1, b_1, c_1, ..., a_p, b_p, c_p) in D_3p^3q yields a
+composable triple f;g = h with f = (a_k, b_k c_k)_k, g = (b_k, c_k a_k+1)_k
+and h = (a_k b_k, c_k)_k, a_p+1 = phi(a_1).  D_2p^2q is read on whole
+columns: it is transposed once, column i of its twisted products t_i t_i+1
+(phi(t_1) following t_2p) is read from the structure's two-simple product
+table in one pass, and a morphism's endpoints are the rows of alternate
+product columns, looked up in the index of D_p^q.  D_3p^3q is never listed.
+D_p^q, D_2p^2q and D_3p^3q share their ends, their block exponents and
+their fixed simples, and a member of D_2p^2q is fixed by its block 0, so
+one walk of u's block 0 (its 3c entries, c = gcd(p, q)), on the same setup
+as the walk above, reads the ids of f, g and h as it goes: each part has a
+cursor into one trie of the blocks 0 of D_2p^2q, and at each entry of u two
+cursors step, f's on a_k and on b_k c_k, g's on b_k and on c_k a_k+1, h's
+on a_k b_k and on c_k, each product read once per node of the walk.  The
+entry after block 0 is phi^e(a_1), e the exponent of block 1.  The walk
+handles a_c, b_c and the residual c_c in one node, where f's id is read
+once per a_c.  Runs of several ends are merged into the lex order of u by
+one sort on its block 0, read back from the three parts.  Tuples of the
 interleaved form (1, x_1, 1, x_2, ...) are the object identities; they take
 the ids after the morphisms', so a triple through an identity is recognised
 by its ids, proved trivial, then dropped.  Every check (simple blocks,
-endpoints in D_p^q, the identity equations, composability) compares whole
-columns.  An endomorphism generator defined by some triple (f, g, endo) with
-f, g proper non-endos is eliminated and rewritten as that path, matching how
-such composites are usually named rather than listed as generators; the
-first such triple in lex order defines it.  Triples and relations keep the
-lex order of their 3p-tuples.  The assembly runs with the cycle collector
-paused: its many new lists and tuples form no reference cycles, so reference
-counting frees every one it drops, and the collections their count would set
-off could free nothing.
+endpoints in D_p^q, parts in D_2p^2q, the identity equations,
+composability) compares whole id lists.  An endomorphism generator defined
+by some triple (f, g, endo) with f, g proper non-endos is eliminated and
+rewritten as that path, matching how such composites are usually named
+rather than listed as generators; the first such triple in lex order
+defines it.  Triples and relations keep the lex order of their 3p-tuples.
+The assembly runs with the cycle collector paused: its many new lists,
+tuples and trie nodes form no reference cycles, so reference counting frees
+every one it drops, and the collections their count would set off could
+free nothing.
 
 Vertex groups come from the standard groupoid contraction: spanning tree,
 one loop generator per non-tree edge, one relator per presented relation,
@@ -54,13 +66,15 @@ import heapq
 import math
 import sys
 from collections import deque, namedtuple
-from itertools import chain, compress, count, islice
-from operator import eq, itemgetter, not_, or_
+from itertools import compress, count
+from operator import eq, not_, or_
 
 from .errors import BudgetExceeded, GarsideError, NonComposablePath
 from .monoid import GarsideStructure, NormalForm
 
 Path = list[tuple[int, int]]  # (morphism id, +1 forward / -1 backward)
+_TOO_MANY = "D_{}^{} has at least {} tuples"
+_TOO_DEEP = "D_{}^{} is out of reach: its {} free entries nest past the recursion limit"
 
 
 def decompositions(g: GarsideStructure, m: int) -> list[tuple[int, ...]]:
@@ -84,21 +98,25 @@ def divided_set(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
     return _walk(g, m, n)
 
 
-def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
-    """Depth-first walk of D_m^n: block 0 under each end, then its phi-powers."""
+def _blocks(g: GarsideStructure, m: int, n: int) -> tuple:
+    """What every walk of D_m^n shares: (cycles, perms, ends, choices, split).
+
+    Block j of a member is perms[j - 1] of block 0, and the ends, in
+    ascending id, are the products of block 0: none when no block length
+    fits Delta.  choices[x] lists the choices (a, a \\ x) at a residual x
+    once split(x) has split them from x's fixed left divisors; the identity
+    is always one.  Raises GarsideError when the cycles free entries nest
+    past the recursion limit.
+    """
     cycles = math.gcd(m, n)
     blocks = m // cycles
     length, rem = divmod(g.delta_length, blocks)
     if rem:
-        return []
-    out_of_reach = (
-        f"D_{m}^{n} is out of reach: its {cycles} free entries nest past "
-        "the recursion limit"
-    )
+        return cycles, [], [], None, None
     if cycles > sys.getrecursionlimit():
-        # The identity fits every free entry, so the walk would nest that
+        # The identity fits every free entry, so a walk would nest that
         # deep; checked before anything of length m is allocated.
-        raise GarsideError(out_of_reach)
+        raise GarsideError(_TOO_DEEP.format(m, n, cycles))
     # Block j is phi^exponent[j] of block 0.  sigma^n-fixedness reads
     # t_k = phi^(-((i+n)//m))(t_i) for k = (i+n) mod m; as cycles divides m
     # and n, a step moves blocks whole, and the orbit of 0 meets block j
@@ -121,6 +139,24 @@ def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
                 if y == g.delta:
                     ends.append(b)
     fixed_mask = sum(1 << a for a in fixed)
+    choices: list[list[tuple[int, int]] | None] = [None] * len(g.simples)
+
+    def split(x: int) -> list[tuple[int, int]]:
+        kids = choices[x] = []
+        mask = g.left_div_mask[x] & fixed_mask
+        while mask:
+            low = mask & -mask
+            a = low.bit_length() - 1
+            mask ^= low
+            kids.append((a, g.residual_left[a][x]))
+        return kids
+
+    return cycles, perms, ends, choices, split
+
+
+def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
+    """Depth-first walk of D_m^n: block 0 under each end, then its phi-powers."""
+    cycles, perms, ends, choices, split = _blocks(g, m, n)
     last = cycles - 1
     # The walk recurses down to `stop`, where each child (a, a \ x) of x is
     # the block's last two entries, or x its only entry when cycles = 1.
@@ -129,23 +165,12 @@ def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
     stop = max(last - 1, 0)
     out: list[tuple[int, ...]] = []
     entries: list[int] = []
-    # x -> its choices (a, a \ x), split from its fixed left divisors on the
-    # first visit.
-    choices: list[list[tuple[int, int]] | None] = [None] * len(g.simples)
 
     def step(i: int, x: int) -> None:
         if i == last:
             out.append((x,))
         else:
-            kids = choices[x]
-            if kids is None:
-                kids = choices[x] = []
-                mask = g.left_div_mask[x] & fixed_mask
-                while mask:
-                    low = mask & -mask
-                    a = low.bit_length() - 1
-                    mask ^= low
-                    kids.append((a, g.residual_left[a][x]))
+            kids = choices[x] or split(x)
             if i < stop:
                 for a, y in kids:
                     entries.append(a)
@@ -156,15 +181,13 @@ def _walk(g: GarsideStructure, m: int, n: int) -> list[tuple[int, ...]]:
             for kid in kids:
                 out.append(prefix + kid)
         if len(out) > g.budget:
-            raise BudgetExceeded(
-                f"D_{m}^{n} has at least {g.budget + 1} tuples", g.budget
-            )
+            raise BudgetExceeded(_TOO_MANY.format(m, n, g.budget + 1), g.budget)
 
     try:
         for end in ends:
             step(0, end)
     except RecursionError:
-        raise GarsideError(out_of_reach) from None
+        raise GarsideError(_TOO_DEEP.format(m, n, cycles)) from None
     finally:
         # step refers to itself through its closure; clearing the name breaks
         # that cycle, so out is freed with its last caller, not by the
@@ -223,21 +246,14 @@ class DividedCategory(
         return f"{self.path_label(rel[0])} = {self.path_label(rel[1])}"
 
 
-def _with_products(
-    product: list[list[int | None]],
-    phi: tuple[int, ...],
-    rows: list[tuple[int, ...]],
-    m: int,
-) -> list:
-    """Columns t_1, ..., t_m of the rows, then t_1 t_2, ..., t_m phi(t_1).
+def _twisted_products(product: list, phi: tuple, rows: list) -> list[list[int | None]]:
+    """The rows' twisted products t_1 t_2, ..., t_m phi(t_1), as columns.
 
-    Each product column is read whole from the two-simple product table.
+    Each column is read whole from the two-simple product table.
     """
     cols = list(zip(*rows))
-    if not cols:
-        return [()] * (2 * m)
-    rights = cols[1:] + [tuple(map(phi.__getitem__, cols[0]))]
-    return cols + [
+    rights = cols[1:] + [tuple(map(phi.__getitem__, cols[0]))] if cols else []
+    return [
         list(map(list.__getitem__, map(product.__getitem__, left), right))
         for left, right in zip(cols, rights)
     ]
@@ -264,8 +280,75 @@ def build_category(g: GarsideStructure, p: int, q: int) -> DividedCategory:
             gc.enable()
 
 
+def _triples(g: GarsideStructure, m: int, n: int, members: list, span: int) -> tuple:
+    """The ids of f, g and h for each u in D_m^n = D_3p^3q, along one walk.
+
+    u = (a_1, b_1, c_1, ..., a_p, b_p, c_p) composes f = (a_k, b_k c_k)_k
+    and g = (b_k, c_k a_k+1)_k into h = (a_k b_k, c_k)_k, a_p+1 = phi(a_1).
+    Each part is a member of D_2p^2q, members in id order, fixed by its
+    block 0 of span entries.  The walk of u's block 0 carries a cursor for
+    each part into the trie of those blocks; a part outside D_2p^2q reads
+    None.  Each end's run is in lex order of u; the last value returned
+    says whether there are several runs.
+    """
+    cycles, perms, ends, choices, split = _blocks(g, m, n)
+    product = g.product_table
+    # a_c+1, the entry after block 0, is phi^e(a_1) for block 1's exponent
+    # e, or phi(a_1) when u is a single block.
+    after = perms[0] if perms else g.phi_power_perm(1)
+    # A cursor that has left the trie: it stays here, and its id reads None.
+    none: dict = {}
+    f_ids, g_ids, h_ids = [], [], []
+
+    def step(i: int, x: int, prev: int, on: dict, by: dict, idle: dict, lead: int):
+        # Entry i of block 0 is picked under the residual x, after prev.  At
+        # a_k, f's cursor steps on it and g's on c_k-1 a_k; at b_k, g's and
+        # h's, on b_k and a_k b_k; at c_k, h's and f's, on c_k and b_k c_k.
+        # So the three cursors take the three roles (on the entry, by the
+        # product with prev, idle) in turn.  lead is a_1.
+        row = product[prev]
+        kids = choices[x] or split(x)
+        if i < cycles - 3:
+            for a, y in kids:
+                lead = a if i == 0 else lead
+                step(i + 1, y, a, by.get(row[a], none), idle, on.get(a, none), lead)
+            return
+        # i is a_c's: a_c, b_c and the residual c_c end f with (a_c, b_c c_c
+        # = y), g with (c_c-1 a_c, b_c, c_c a_c+1) and h with (a_c b_c, c_c).
+        for a, y in kids:
+            f = on.get(a, none).get(y)
+            g_at = by.get(row[a], none)
+            h_row = product[a]
+            a_next = after[a if i == 0 else lead]
+            for b, c in choices[y] or split(y):
+                f_ids.append(f)
+                g_ids.append(g_at.get(b, none).get(product[c][a_next]))
+                h_ids.append(idle.get(h_row[b], none).get(c))
+        if len(h_ids) > g.budget:
+            raise BudgetExceeded(_TOO_MANY.format(m, n, g.budget + 1), g.budget)
+
+    # The trie of D_2p^2q's blocks 0 names each member by its id.
+    trie: dict = {}
+    for mid, t in enumerate(members):
+        node = trie
+        for a in t[: span - 1]:
+            node = node.get(a) or node.setdefault(a, {})
+        node[t[span - 1]] = mid
+    # g has no entry before b_1: a cursor one level above its root, which
+    # 1 a_1 = a_1 leads into, lets a_1 step g's cursor like any a_k.
+    above = dict.fromkeys(range(len(g.simples)), trie)
+    try:
+        for end in ends:
+            step(0, end, g.identity, trie, above, trie, 0)
+    except RecursionError:
+        raise GarsideError(_TOO_DEEP.format(m, n, cycles)) from None
+    finally:
+        del step  # as in _walk: step's closure refers to step
+    return f_ids, g_ids, h_ids, len(ends) > 1
+
+
 def _assemble(g: GarsideStructure, p: int, q: int) -> DividedCategory:
-    """C_p^q from D_p^q, D_2p^2q and D_3p^3q, read column by column."""
+    """C_p^q from D_p^q and D_2p^2q, read column by column, and one walk of D_3p^3q."""
     objects = divided_set(g, p, q)
     obj_index = {t: i for i, t in enumerate(objects)}
     product = g.product_table
@@ -276,9 +359,9 @@ def _assemble(g: GarsideStructure, p: int, q: int) -> DividedCategory:
     # Each list of rows, columns or ids is dropped as soon as it is read, so
     # the peak stays near what the finished category holds.
     raw = divided_set(g, 2 * p, 2 * q)
-    w = _with_products(product, phi, raw, 2 * p)
-    sources = list(map(obj_index.get, zip(*w[2 * p :: 2])))
-    targets = list(map(obj_index.get, zip(*w[2 * p + 1 :: 2])))
+    w = _twisted_products(product, phi, raw)
+    sources = list(map(obj_index.get, zip(*w[::2])))
+    targets = list(map(obj_index.get, zip(*w[1::2])))
     del w
     # A block that is not a simple (None) leaves its endpoint out of D_p^q.
     assert None not in sources and None not in targets, "dangling endpoint"
@@ -294,38 +377,33 @@ def _assemble(g: GarsideStructure, p: int, q: int) -> DividedCategory:
     )
     identity_tuples = dict(enumerate(identities))
     proper = list(map(not_, is_identity))
-    entries = list(compress(raw, proper))
+    members = list(compress(raw, proper))
     del raw, is_identity
     sources = list(compress(sources, proper))
     targets = list(compress(targets, proper))
-    morphisms = list(map(Morphism, entries, sources, targets))
+    morphisms = list(map(Morphism, members, sources, targets))
     # Every member of D_2p^2q has an id, the identities' after the
     # morphisms', so a part of a triple is an identity iff its id >= n_mor.
     n_mor = len(morphisms)
-    index = dict(zip(chain(entries, identities), count()))
+    members += identities
+    span = 2 * math.gcd(p, q)
     # A relation names a morphism by its id, or an eliminated endo by the
     # pair that defines it; the ids are the ints the triples hold.
-    expansion = [[mid] for mid in islice(index.values(), n_mor)]
-    del entries
+    expansion = [[mid] for mid in range(n_mor)]
 
-    # u = (a_1, b_1, c_1, ..., a_p, b_p, c_p) composes f = (a_k, b_k c_k)_k
-    # and g = (b_k, c_k a_k+1)_k into h = (a_k b_k, c_k)_k, a_p+1 = phi(a_1).
-    # In w, u's columns and then its twisted products', each part of the
-    # triple is a fixed pick of columns.
-    m = 3 * p
-    ks = range(0, m, 3)
-    pick_f = itemgetter(*[i for k in ks for i in (k, m + k + 1)])
-    pick_g = itemgetter(*[i for k in ks for i in (k + 1, m + k + 2)])
-    pick_h = itemgetter(*[i for k in ks for i in (m + k, k + 2)])
-    w = _with_products(product, phi, divided_set(g, m, 3 * q), m)
-    f_ids = list(map(index.get, zip(*pick_f(w))))
-    g_ids = list(map(index.get, zip(*pick_g(w))))
-    h_ids = list(map(index.get, zip(*pick_h(w))))
-    del w, index
+    f_ids, g_ids, h_ids, merge = _triples(g, 3 * p, 3 * q, members, span)
     # Each part is a member of D_2p^2q, so each of its blocks is a simple.
     assert None not in f_ids and None not in g_ids and None not in h_ids, (
         "relation part outside D_2p^2q"
     )
+    if merge:
+        # Merge the runs by u's block 0, read back from its parts: a_k and
+        # b_k lead f's and g's k-th pair of entries, and c_k ends h's.
+        parts = sorted(zip(f_ids, g_ids, h_ids), key=lambda t: list(zip(
+            members[t[0]][:span:2], members[t[1]][:span:2], members[t[2]][1:span:2]
+        )))
+        f_ids, g_ids, h_ids = map(list, zip(*parts))
+    del members
     # Identity-involving relations carry no content; prove it.
     f_one = [i >= n_mor for i in f_ids]
     g_one = [i >= n_mor for i in g_ids]

@@ -10,6 +10,7 @@ import pytest
 from congruence_reference import word_lookup
 from divided_reference import twisted_shift
 
+from garside import divided
 from garside.bundled import get_structure
 from garside.divided import (
     build_category,
@@ -20,7 +21,7 @@ from garside.divided import (
     simplify_presentation,
     vertex_group,
 )
-from garside.errors import BudgetExceeded, NonComposablePath
+from garside.errors import BudgetExceeded, GarsideError, NonComposablePath
 from garside.monoid import IDENTITY_NF
 from garside.periodic import centralizer_summary
 
@@ -348,9 +349,11 @@ def test_off_diagonal_cases_cover_the_edge_shapes(g12, g13, b2, b3):
 
 
 def test_category_holds_no_transient_columns(b3):
-    # The assembly frees D_3p^3q, its columns and the id lists as it goes:
-    # the peak stays within 1 MiB of what the category holds (7.51 against
-    # 7.36 MiB for the per-tuple assembly; 15.1 MiB with every column kept).
+    # D_3p^3q is never listed: one walk reads the ids of its triples' parts.
+    # The assembly frees D_2p^2q's columns, the trie and the id lists as it
+    # goes, so the peak stays within 1 MiB of what the category holds (7.73
+    # against 7.46 MiB; 7.83 against 7.55 when D_3p^3q and its columns were
+    # listed, and 15.1 MiB with every column kept).
     gc.collect()
     tracemalloc.start()
     try:
@@ -363,6 +366,72 @@ def test_category_holds_no_transient_columns(b3):
 
 
 G13_4_4_REFUSAL = "D_8^8 has at least 59050 tuples, over the budget of 59049"
+# typeb3's D_4^4 has 2,476 tuples and its D_6^6 31,686: under a budget
+# between the two, C_2^2 is refused in the walk of D_6^6.
+B3_2_2_REFUSAL = "D_6^6 has at least 30001 tuples, over the budget of 30000"
+
+
+def budgeted(name, budget):
+    g = copy.copy(get_structure(name))
+    if budget is not None:
+        g.budget = budget
+    return g
+
+
+def frame_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("where", ["before-the-walk", "in-the-walk"])
+def test_build_category_refuses_a_d_3p_3q_past_the_recursion_limit(g12, where):
+    # g12's only fixed simples are 1 and Delta, so the identity fills every
+    # free entry but one, and each walk of C_k^k's sets nests about as deep
+    # as its tuples are long.
+    depth = frame_depth()
+    if where == "before-the-walk":
+        # D_k^k and D_2k^2k fit, and D_3k^3k's 3k free entries are past the
+        # limit, so it is refused before anything of length 3k is made.
+        k, limit = depth + 40, 3 * depth + 100
+        refusal = (
+            f"D_{3 * k}^{3 * k} is out of reach: its {3 * k} free entries "
+            "nest past the recursion limit"
+        )
+    else:
+        # 60 is within the limit, but the walk of D_60^60 nests past it,
+        # while those of D_20^20 and D_40^40 fit.
+        k, limit = 20, depth + 52
+        refusal = (
+            "D_60^60 is out of reach: its 60 free entries nest past the "
+            "recursion limit"
+        )
+    default = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        with pytest.raises(GarsideError) as refused:
+            build_category(g12, k, k)
+    finally:
+        sys.setrecursionlimit(default)
+    assert str(refused.value) == refusal
+    assert len(build_category(g12, k, k).objects) == k
+
+
+@pytest.mark.parametrize("name, p, q", [("g12", 3, 3), ("typeb3", 2, 2), ("g13", 3, 4)])
+def test_build_category_lists_only_d_p_q_and_d_2p_2q(monkeypatch, name, p, q):
+    # The relations come from one walk of D_3p^3q's block 0, which lists
+    # nothing of length 3p.
+    walked = []
+    walk = divided._walk
+
+    def spy(g, m, n):
+        walked.append((m, n))
+        return walk(g, m, n)
+
+    monkeypatch.setattr(divided, "_walk", spy)
+    build_category(get_structure(name), p, q)
+    assert walked == [(p, q), (2 * p, 2 * q)]
 
 
 def test_build_category_runs_no_collection(b3):
@@ -397,30 +466,46 @@ def test_build_category_restores_the_collector(b3, g13, on):
         with pytest.raises(BudgetExceeded) as refused:
             build_category(g13, 4, 4)
         after_refusal = gc.isenabled()
+        with pytest.raises(BudgetExceeded) as refused_late:
+            build_category(budgeted("typeb3", 30000), 2, 2)
+        after_late_refusal = gc.isenabled()
     finally:
         (gc.enable if enabled else gc.disable)()
     assert str(refused.value) == G13_4_4_REFUSAL
+    assert str(refused_late.value) == B3_2_2_REFUSAL
     assert after_build is on
     assert after_refusal is on
+    assert after_late_refusal is on
 
 
-@pytest.mark.parametrize("name, p, q", [("typeb3", 2, 2), ("g13", 3, 4), ("g13", 4, 4)])
-def test_build_category_makes_no_cycles(name, p, q):
+@pytest.mark.parametrize(
+    "name, p, q, budget, refusal",
+    [
+        pytest.param("typeb3", 2, 2, None, None, id="typeb3-2-2"),
+        pytest.param("g13", 3, 4, None, None, id="g13-3-4"),
+        pytest.param("g13", 4, 4, None, G13_4_4_REFUSAL, id="g13-4-4"),
+        pytest.param("typeb3", 2, 2, 30000, B3_2_2_REFUSAL, id="typeb3-2-2-budget-30000"),
+    ],
+)
+def test_build_category_makes_no_cycles(name, p, q, budget, refusal):
     # build_category pauses the collector because the assembly, its walks
-    # and its budget refusal leave nothing that only the collector can free.
-    g = get_structure(name)
+    # and their budget refusals leave nothing that only the collector can
+    # free.
+    g = budgeted(name, budget)
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
         try:
             build_category(g, p, q)
+            outcome = None
         except BudgetExceeded as exc:
-            assert str(exc) == G13_4_4_REFUSAL
+            outcome = str(exc)
         unreachable = gc.collect()
     finally:
         if enabled:
             gc.enable()
+    assert outcome == refusal
     assert unreachable == 0
 
 
