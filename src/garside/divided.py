@@ -22,11 +22,7 @@ end is Delta, and the walk lists all decompositions of Delta.
 C_p^q has objects D_p^q, generating morphisms D_2p^2q, and relations induced
 by D_3p^3q: each u = (a_1, b_1, c_1, ..., a_p, b_p, c_p) in D_3p^3q yields a
 composable triple f;g = h with f = (a_k, b_k c_k)_k, g = (b_k, c_k a_k+1)_k
-and h = (a_k b_k, c_k)_k, a_p+1 = phi(a_1).  D_2p^2q is read on whole
-columns: it is transposed once, column i of its twisted products t_i t_i+1
-(phi(t_1) following t_2p) is read from the structure's two-simple product
-table in one pass, and a morphism's endpoints are the rows of alternate
-product columns, looked up in the index of D_p^q.  D_3p^3q is never listed.
+and h = (a_k b_k, c_k)_k, a_p+1 = phi(a_1).  D_3p^3q is never listed.
 D_p^q, D_2p^2q and D_3p^3q share their ends, their block exponents and
 their fixed simples, and a member of D_2p^2q is fixed by its block 0, so
 one walk of u's block 0 (its 3c entries, c = gcd(p, q)), on the same setup
@@ -40,11 +36,17 @@ once per a_c.  Runs of several ends are merged into the lex order of u by
 one sort on its block 0, read back from the three parts.  Tuples of the
 interleaved form (1, x_1, 1, x_2, ...) are the object identities; they take
 the ids after the morphisms', so a triple through an identity is recognised
-by its ids, proved trivial, then dropped.  Every check (simple blocks,
-endpoints in D_p^q, parts in D_2p^2q, the identity equations,
-composability) compares whole id lists.  An endomorphism generator defined
-by some triple (f, g, endo) with f, g proper non-endos is eliminated and
-rewritten as that path, matching how such composites are usually named
+by its ids and proved trivial.  Those triples are where the endpoints are
+read, by the identity law: a member t = (b_k, c_k)_k of D_2p^2q is g and h
+of exactly one triple whose f is an identity, u = (1, b_k, c_k)_k, and that
+f is the identity of t's source (b_k c_k)_k; it is f and h of exactly one
+triple whose g is an identity, u = (b_k, 1, c_k)_k, and that g is the
+identity of t's target.  Then the triples through an identity are
+dropped.  Every check (simple blocks, parts in D_2p^2q, the identity
+equations, each endpoint named exactly once, each identity a loop at its
+object, composability) compares whole id lists.  An endomorphism generator
+defined by some triple (f, g, endo) with f, g proper non-endos is eliminated
+and rewritten as that path, matching how such composites are usually named
 rather than listed as generators; the first such triple in lex order
 defines it.  Triples and relations keep the lex order of their 3p-tuples.
 The assembly runs with the cycle collector paused: its many new lists,
@@ -246,19 +248,6 @@ class DividedCategory(
         return f"{self.path_label(rel[0])} = {self.path_label(rel[1])}"
 
 
-def _twisted_products(product: list, phi: tuple, rows: list) -> list[list[int | None]]:
-    """The rows' twisted products t_1 t_2, ..., t_m phi(t_1), as columns.
-
-    Each column is read whole from the two-simple product table.
-    """
-    cols = list(zip(*rows))
-    rights = cols[1:] + [tuple(map(phi.__getitem__, cols[0]))] if cols else []
-    return [
-        list(map(list.__getitem__, map(product.__getitem__, left), right))
-        for left, right in zip(cols, rights)
-    ]
-
-
 def build_category(g: GarsideStructure, p: int, q: int) -> DividedCategory:
     """Assemble C_p^q: objects, generating morphisms, induced relations.
 
@@ -348,43 +337,28 @@ def _triples(g: GarsideStructure, m: int, n: int, members: list, span: int) -> t
 
 
 def _assemble(g: GarsideStructure, p: int, q: int) -> DividedCategory:
-    """C_p^q from D_p^q and D_2p^2q, read column by column, and one walk of D_3p^3q."""
-    objects = divided_set(g, p, q)
-    obj_index = {t: i for i, t in enumerate(objects)}
-    product = g.product_table
-    phi = g.phi_power_perm(1)
+    """C_p^q from D_p^q, D_2p^2q and one walk of D_3p^3q.
 
-    # t = (a_1, b_1, ..., a_p, b_p) runs from (a_k b_k)_k to (b_k a_k+1)_k,
-    # with a_p+1 = phi(a_1): its twisted products, alternately.
-    # Each list of rows, columns or ids is dropped as soon as it is read, so
-    # the peak stays near what the finished category holds.
-    raw = divided_set(g, 2 * p, 2 * q)
-    w = _twisted_products(product, phi, raw)
-    sources = list(map(obj_index.get, zip(*w[::2])))
-    targets = list(map(obj_index.get, zip(*w[1::2])))
-    del w
-    # A block that is not a simple (None) leaves its endpoint out of D_p^q.
-    assert None not in sources and None not in targets, "dangling endpoint"
+    The walk's triples through an identity give every endpoint: t's source
+    is f in the one triple 1;t = t, and its target g in the one t;1 = t.
+    """
+    objects = divided_set(g, p, q)
     # (1, x_1, ..., 1, x_p) is the identity of the object (x_1, ..., x_p);
-    # in lex order the identities come in the objects' order, each a loop.
+    # in lex order the identities come in the objects' order.
     ones = (g.identity,) * len(objects)
     identities = list(zip(*[c for col in zip(*objects) for c in (ones, col)]))
-    is_identity = list(map(set(identities).__contains__, raw))
-    assert (
-        list(compress(sources, is_identity))
-        == list(compress(targets, is_identity))
-        == list(range(len(objects)))
-    )
     identity_tuples = dict(enumerate(identities))
-    proper = list(map(not_, is_identity))
-    members = list(compress(raw, proper))
+    # Each list of tuples or ids is dropped as soon as it is read, so the
+    # peak stays near what the finished category holds.
+    raw = divided_set(g, 2 * p, 2 * q)
+    is_identity = list(map(set(identities).__contains__, raw))
+    assert list(compress(raw, is_identity)) == identities
+    members = list(compress(raw, map(not_, is_identity)))
     del raw, is_identity
-    sources = list(compress(sources, proper))
-    targets = list(compress(targets, proper))
-    morphisms = list(map(Morphism, members, sources, targets))
     # Every member of D_2p^2q has an id, the identities' after the
-    # morphisms', so a part of a triple is an identity iff its id >= n_mor.
-    n_mor = len(morphisms)
+    # morphisms', so a part of a triple is an identity iff its id >= n_mor,
+    # and the identity of object x has id n_mor + x.
+    n_mor = len(members)
     members += identities
     span = 2 * math.gcd(p, q)
     # A relation names a morphism by its id, or an eliminated endo by the
@@ -403,12 +377,26 @@ def _assemble(g: GarsideStructure, p: int, q: int) -> DividedCategory:
             members[t[0]][:span:2], members[t[1]][:span:2], members[t[2]][1:span:2]
         )))
         f_ids, g_ids, h_ids = map(list, zip(*parts))
-    del members
-    # Identity-involving relations carry no content; prove it.
+    # Prove 1;t = t and t;1 = t, and read t's source off the first identity
+    # and its target off the second.
     f_one = [i >= n_mor for i in f_ids]
     g_one = [i >= n_mor for i in g_ids]
-    assert list(compress(g_ids, f_one)) == list(compress(h_ids, f_one))
-    assert list(compress(f_ids, g_one)) == list(compress(h_ids, g_one))
+    after_one = list(compress(g_ids, f_one))
+    before_one = list(compress(f_ids, g_one))
+    assert after_one == list(compress(h_ids, f_one))
+    assert before_one == list(compress(h_ids, g_one))
+    source = dict(zip(after_one, map(n_mor.__rsub__, compress(f_ids, f_one))))
+    target = dict(zip(before_one, map(n_mor.__rsub__, compress(g_ids, g_one))))
+    assert (
+        len(source) == len(after_one) == len(members) == len(target) == len(before_one)
+    ), "endpoint not named exactly once"
+    sources = list(map(source.__getitem__, range(len(members))))
+    targets = list(map(target.__getitem__, range(len(members))))
+    # Each identity is a loop at its own object.
+    assert sources[n_mor:] == targets[n_mor:] == list(range(len(objects)))
+    del sources[n_mor:], targets[n_mor:], source, target, after_one, before_one
+    morphisms = list(map(Morphism, members, sources, targets))
+    del members
     keep = list(map(not_, map(or_, f_one, g_one)))
     fs = list(compress(f_ids, keep))
     gs = list(compress(g_ids, keep))

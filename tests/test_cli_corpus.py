@@ -9,6 +9,7 @@ fails here; record new digests only for a deliberate change of output.
 
 import hashlib
 import json
+import random
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -289,6 +290,24 @@ CASES = [
 ]
 
 
+# The 4,000-letter random signed words of the installed-package CI step, one
+# per structure, built from its recipe; stdout alone hashes to the step's
+# pins: g12 42479a46..., typeb3 f6087999..., g13 6e271f2a....
+SEEDED_NF = [
+    ("g12", "stu",
+     "bb01e62b7e0c9132ed18cb3b341a32d447ad6740406e33bda19deef5ac20713c"),
+    ("typeb3", ("b1", "b2", "b3"),
+     "d26d066917275204f6b2ad066b2e251ea43ff6f8a6403b98600b13eebc98b58f"),
+    ("g13", "abc",
+     "29f30395b3e5d37e63e2828a5c440df91a21e711f37f190a6f8a644112a458d9"),
+]
+
+
+def seeded_word(letters) -> list[str]:
+    r = random.Random(4000)
+    return [r.choice(letters) + r.choice(("", "^-1")) for _ in range(4000)]
+
+
 def outcome(argv: list[str]) -> str:
     """SHA-256 of [exit status, stdout, stderr] for one in-process run."""
     bundled._structure.cache_clear()
@@ -315,3 +334,11 @@ def test_cli_output_is_byte_identical(monkeypatch, workdir, line, digest):
     monkeypatch.chdir(workdir)
     monkeypatch.setenv("COLUMNS", "80")
     assert outcome(shlex.split(line)) == digest
+
+
+@pytest.mark.parametrize(
+    "name, letters, digest", SEEDED_NF, ids=[name for name, _, _ in SEEDED_NF]
+)
+def test_seeded_nf_is_byte_identical(monkeypatch, name, letters, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert outcome(["nf", name, *seeded_word(letters)]) == digest

@@ -349,11 +349,13 @@ def test_off_diagonal_cases_cover_the_edge_shapes(g12, g13, b2, b3):
 
 
 def test_category_holds_no_transient_columns(b3):
-    # D_3p^3q is never listed: one walk reads the ids of its triples' parts.
-    # The assembly frees D_2p^2q's columns, the trie and the id lists as it
-    # goes, so the peak stays within 1 MiB of what the category holds (7.73
-    # against 7.46 MiB; 7.83 against 7.55 when D_3p^3q and its columns were
-    # listed, and 15.1 MiB with every column kept).
+    # D_3p^3q is never listed: one walk reads the ids of its triples' parts,
+    # and the triples through an identity give the endpoints, so no product
+    # column of D_2p^2q is made.  The assembly frees the trie, the id lists
+    # and the endpoint maps as it goes, so the peak stays within 1 MiB of
+    # what the category holds (7.71 against 7.46 MiB; 7.73 when D_2p^2q's
+    # product columns gave the endpoints, 7.83 against 7.55 when D_3p^3q
+    # and its columns were listed, and 15.1 MiB with every column kept).
     gc.collect()
     tracemalloc.start()
     try:
@@ -432,6 +434,34 @@ def test_build_category_lists_only_d_p_q_and_d_2p_2q(monkeypatch, name, p, q):
     monkeypatch.setattr(divided, "_walk", spy)
     build_category(get_structure(name), p, q)
     assert walked == [(p, q), (2 * p, 2 * q)]
+
+
+@pytest.mark.parametrize("fault", ["drop", "duplicate"])
+def test_build_category_names_each_endpoint_exactly_once(monkeypatch, g12, fault):
+    # Each member t of D_2p^2q is g of exactly one triple 1_x;t = t, and x
+    # is its source.  A walk that loses such a triple, or repeats one under
+    # another object's identity, leaves t with no source or with two; the
+    # repeat comes first, so the first source read would be the right one.
+    n_obj = len(divided_set(g12, 2, 3))
+    assert n_obj == 3
+    triples = divided._triples
+
+    def faulty(g, m, n, members, span):
+        f_ids, g_ids, h_ids, merge = triples(g, m, n, members, span)
+        n_mor = len(members) - n_obj
+        i = next(i for i, (f, t) in enumerate(zip(f_ids, g_ids)) if f >= n_mor > t)
+        if fault == "drop":
+            del f_ids[i], g_ids[i], h_ids[i]
+        else:
+            other = n_mor + (f_ids[i] - n_mor + 1) % n_obj
+            f_ids.insert(i, other)
+            g_ids.insert(i, g_ids[i])
+            h_ids.insert(i, h_ids[i])
+        return f_ids, g_ids, h_ids, merge
+
+    monkeypatch.setattr(divided, "_triples", faulty)
+    with pytest.raises(AssertionError, match="exactly once"):
+        build_category(g12, 2, 3)
 
 
 def test_build_category_runs_no_collection(b3):
