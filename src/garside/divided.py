@@ -32,27 +32,28 @@ cursors step, f's on a_k and on b_k c_k, g's on b_k and on c_k a_k+1, h's
 on a_k b_k and on c_k, each product read once per node of the walk.  The
 entry after block 0 is phi^e(a_1), e the exponent of block 1.  The walk
 handles a_c, b_c and the residual c_c in one node, where f's id is read
-once per a_c.  Runs of several ends are merged into the lex order of u by
-one sort on its block 0, read back from the three parts.  Tuples of the
-interleaved form (1, x_1, 1, x_2, ...) are the object identities; they take
-the ids after the morphisms', so a triple through an identity is recognised
-by its ids and proved trivial.  Those triples are where the endpoints are
-read, by the identity law: a member t = (b_k, c_k)_k of D_2p^2q is g and h
-of exactly one triple whose f is an identity, u = (1, b_k, c_k)_k, and that
-f is the identity of t's source (b_k c_k)_k; it is f and h of exactly one
-triple whose g is an identity, u = (b_k, 1, c_k)_k, and that g is the
-identity of t's target.  Then the triples through an identity are
-dropped.  Every check (simple blocks, parts in D_2p^2q, the identity
-equations, each endpoint named exactly once, each identity a loop at its
-object, composability) compares whole id lists.  An endomorphism generator
-defined by some triple (f, g, endo) with f, g proper non-endos is eliminated
-and rewritten as that path, matching how such composites are usually named
-rather than listed as generators; the first such triple in lex order
-defines it.  Triples and relations keep the lex order of their 3p-tuples.
-The assembly runs with the cycle collector paused: its many new lists,
-tuples and trie nodes form no reference cycles, so reference counting frees
-every one it drops, and the collections their count would set off could
-free nothing.
+once per a_c.  Tuples of the interleaved form (1, x_1, 1, x_2, ...) are the
+object identities; they take the ids after the morphisms', so a triple
+through an identity is recognised by its ids and proved trivial.  Those
+triples are where the endpoints are read, by the identity law: a member
+t = (b_k, c_k)_k of D_2p^2q is g and h of exactly one triple whose f is an
+identity, u = (1, b_k, c_k)_k, and that f is the identity of t's source
+(b_k c_k)_k; it is f and h of exactly one triple whose g is an identity,
+u = (b_k, 1, c_k)_k, and that g is the identity of t's target.  One pass
+over the walk's triples checks the identity law on each triple through an
+identity and names each endpoint there, exactly once; it keeps every other
+triple, whose h must not be an identity.  Runs of several ends are merged
+into the lex order of u by one sort of the kept triples on u's block 0,
+read back from the three parts.  A second pass over the kept triples checks
+that each composes, and eliminates endos: an endomorphism generator
+defined by some triple (f, g, endo) with f, g proper non-endos is
+eliminated and rewritten as that path, matching how such composites are
+usually named rather than listed as generators; the first such triple in
+lex order defines it.  Triples and relations keep the lex order of their
+3p-tuples.  The assembly runs with the cycle collector paused: its many new
+lists, tuples and trie nodes form no reference cycles, so reference
+counting frees every one it drops, and the collections their count would
+set off could free nothing.
 
 Vertex groups come from the standard groupoid contraction: spanning tree,
 one loop generator per non-tree edge, one relator per presented relation,
@@ -68,8 +69,8 @@ import heapq
 import math
 import sys
 from collections import deque, namedtuple
-from itertools import compress, count
-from operator import eq, not_, or_
+from itertools import compress
+from operator import eq, not_
 
 from .errors import BudgetExceeded, GarsideError, NonComposablePath
 from .monoid import GarsideStructure, NormalForm
@@ -337,10 +338,12 @@ def _triples(g: GarsideStructure, m: int, n: int, members: list, span: int) -> t
 
 
 def _assemble(g: GarsideStructure, p: int, q: int) -> DividedCategory:
-    """C_p^q from D_p^q, D_2p^2q and one walk of D_3p^3q.
+    """C_p^q from D_p^q, D_2p^2q, one walk of D_3p^3q and two passes.
 
-    The walk's triples through an identity give every endpoint: t's source
-    is f in the one triple 1;t = t, and its target g in the one t;1 = t.
+    The first pass reads every endpoint off the walk's triples through an
+    identity: t's source is f in the one triple 1;t = t, and its target g
+    in the one t;1 = t.  It keeps the other triples, and the second pass
+    checks that each composes and eliminates the endos they define.
     """
     objects = divided_set(g, p, q)
     # (1, x_1, ..., 1, x_p) is the identity of the object (x_1, ..., x_p);
@@ -352,7 +355,7 @@ def _assemble(g: GarsideStructure, p: int, q: int) -> DividedCategory:
     # peak stays near what the finished category holds.
     raw = divided_set(g, 2 * p, 2 * q)
     is_identity = list(map(set(identities).__contains__, raw))
-    assert list(compress(raw, is_identity)) == identities
+    assert list(compress(raw, is_identity)) == identities, "identity missing from D_2p^2q"
     members = list(compress(raw, map(not_, is_identity)))
     del raw, is_identity
     # Every member of D_2p^2q has an id, the identities' after the
@@ -370,56 +373,52 @@ def _assemble(g: GarsideStructure, p: int, q: int) -> DividedCategory:
     assert None not in f_ids and None not in g_ids and None not in h_ids, (
         "relation part outside D_2p^2q"
     )
+    # Pass 1 proves 1;t = t and t;1 = t, reads t's source off the first
+    # identity and its target off the second, and keeps the proper triples.
+    sources: list = [None] * len(members)
+    targets = sources[:]
+    triples = []
+    for fid, gid, hid in zip(f_ids, g_ids, h_ids):
+        if fid < n_mor > gid:
+            assert hid < n_mor, "identity as a composite"
+            triples.append((fid, gid, hid))
+            continue
+        if fid >= n_mor:
+            assert gid == hid, "identity law broken: 1;t is not t"
+            assert sources[gid] is None, "endpoint not named exactly once"
+            sources[gid] = fid - n_mor
+        if gid >= n_mor:
+            assert fid == hid, "identity law broken: t;1 is not t"
+            assert targets[fid] is None, "endpoint not named exactly once"
+            targets[fid] = gid - n_mor
+    del f_ids, g_ids, h_ids
+    assert None not in sources and None not in targets, "endpoint not named exactly once"
+    loops = list(range(len(objects)))
+    assert sources[n_mor:] == targets[n_mor:] == loops, "identity not a loop at its object"
     if merge:
         # Merge the runs by u's block 0, read back from its parts: a_k and
         # b_k lead f's and g's k-th pair of entries, and c_k ends h's.
-        parts = sorted(zip(f_ids, g_ids, h_ids), key=lambda t: list(zip(
+        triples.sort(key=lambda t: list(zip(
             members[t[0]][:span:2], members[t[1]][:span:2], members[t[2]][1:span:2]
         )))
-        f_ids, g_ids, h_ids = map(list, zip(*parts))
-    # Prove 1;t = t and t;1 = t, and read t's source off the first identity
-    # and its target off the second.
-    f_one = [i >= n_mor for i in f_ids]
-    g_one = [i >= n_mor for i in g_ids]
-    after_one = list(compress(g_ids, f_one))
-    before_one = list(compress(f_ids, g_one))
-    assert after_one == list(compress(h_ids, f_one))
-    assert before_one == list(compress(h_ids, g_one))
-    source = dict(zip(after_one, map(n_mor.__rsub__, compress(f_ids, f_one))))
-    target = dict(zip(before_one, map(n_mor.__rsub__, compress(g_ids, g_one))))
-    assert (
-        len(source) == len(after_one) == len(members) == len(target) == len(before_one)
-    ), "endpoint not named exactly once"
-    sources = list(map(source.__getitem__, range(len(members))))
-    targets = list(map(target.__getitem__, range(len(members))))
-    # Each identity is a loop at its own object.
-    assert sources[n_mor:] == targets[n_mor:] == list(range(len(objects)))
-    del sources[n_mor:], targets[n_mor:], source, target, after_one, before_one
+    del sources[n_mor:], targets[n_mor:]
     morphisms = list(map(Morphism, members, sources, targets))
     del members
-    keep = list(map(not_, map(or_, f_one, g_one)))
-    fs = list(compress(f_ids, keep))
-    gs = list(compress(g_ids, keep))
-    hs = list(compress(h_ids, keep))
-    del f_ids, g_ids, h_ids, f_one, g_one, keep
-    assert max(hs, default=-1) < n_mor, "identity as a composite"
-    assert [targets[i] for i in fs] == [sources[i] for i in gs]
-    assert [sources[i] for i in fs] == [sources[i] for i in hs]
-    assert [targets[i] for i in gs] == [targets[i] for i in hs]
-    triples = list(zip(fs, gs, hs))
 
-    # The first triple (f, g, endo) with f and g non-endos defines its endo;
-    # it is not presented as a relation.
+    # Pass 2 checks that each proper triple composes.  The first triple
+    # (f, g, endo) with f and g non-endos defines its endo; it is not
+    # presented as a relation.
     endo = list(map(eq, sources, targets))
     eliminated: dict[int, tuple[int, int]] = {}
     presented = bytearray(b"\x01") * len(triples)
-    for i in compress(count(), map(endo.__getitem__, hs)):
-        fid, gid, hid = triples[i]
-        if hid not in eliminated and not endo[fid] and not endo[gid]:
+    for i, (fid, gid, hid) in enumerate(triples):
+        x, y = sources[hid], targets[hid]
+        assert sources[fid] == x and targets[gid] == y, "triple not composable"
+        assert targets[fid] == sources[gid], "triple not composable"
+        if x == y and hid not in eliminated and not endo[fid] and not endo[gid]:
             eliminated[hid] = (fid, gid)
             expansion[hid] = [fid, gid]
             presented[i] = 0
-    del fs, gs, hs
 
     relations = [
         (expansion[fid] + expansion[gid], expansion[hid][:])

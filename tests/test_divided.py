@@ -2,6 +2,7 @@ import copy
 import gc
 import hashlib
 import math
+import re
 import sys
 import tracemalloc
 
@@ -305,6 +306,9 @@ OFF_DIAGONAL = [
     "name, p, q",
     [("g12", k, k) for k in range(2, 8)]
     + [("g12", 2, 3), ("g13", 3, 4), ("g13", 1, 2), ("b2", 4, 4), ("b3", 2, 2)]
+    # Several ends, with proper triples of different ends that tie on every
+    # (a_k, b_k): the merge must order them by c_k.
+    + [("g13", 6, 2), ("b3", 6, 2)]
     + OFF_DIAGONAL,
 )
 def test_category_matches_word_product_reference(request, name, p, q):
@@ -350,12 +354,14 @@ def test_off_diagonal_cases_cover_the_edge_shapes(g12, g13, b2, b3):
 
 def test_category_holds_no_transient_columns(b3):
     # D_3p^3q is never listed: one walk reads the ids of its triples' parts,
-    # and the triples through an identity give the endpoints, so no product
-    # column of D_2p^2q is made.  The assembly frees the trie, the id lists
-    # and the endpoint maps as it goes, so the peak stays within 1 MiB of
-    # what the category holds (7.71 against 7.46 MiB; 7.73 when D_2p^2q's
-    # product columns gave the endpoints, 7.83 against 7.55 when D_3p^3q
-    # and its columns were listed, and 15.1 MiB with every column kept).
+    # and one pass over them reads the endpoints off the triples through an
+    # identity and keeps the others, so no product column of D_2p^2q is
+    # made.  The assembly frees the trie and the id lists as it goes, so the
+    # peak stays within 1 MiB of what the category holds (7.706 against 7.457
+    # MiB; 7.707 with endpoint maps and compressed id lists after the walk,
+    # 7.73 when D_2p^2q's product columns gave the endpoints, 7.83 against
+    # 7.55 when D_3p^3q and its columns were listed, and 15.1 MiB with every
+    # column kept).
     gc.collect()
     tracemalloc.start()
     try:
@@ -461,6 +467,62 @@ def test_build_category_names_each_endpoint_exactly_once(monkeypatch, g12, fault
 
     monkeypatch.setattr(divided, "_triples", faulty)
     with pytest.raises(AssertionError, match="exactly once"):
+        build_category(g12, 2, 3)
+
+
+TRIPLE_FAULTS = {
+    "part-outside": "relation part outside D_2p^2q",
+    "left-identity-law": "identity law broken: 1;t is not t",
+    "right-identity-law": "identity law broken: t;1 is not t",
+    "not-composable": "triple not composable",
+    "identity-composite": "identity as a composite",
+}
+
+
+@pytest.mark.parametrize("fault", TRIPLE_FAULTS)
+def test_build_category_checks_each_triple(monkeypatch, g12, fault):
+    # g12's C_2^3 has 3 objects, 6 morphisms and the proper triples
+    # (0, 1, 3), (1, 2, 4) and (2, 0, 5).  Each fault changes one part of one
+    # triple the walk returns, and its own check refuses it.
+    n_obj = 3
+    triples = divided._triples
+
+    def faulty(g, m, n, members, span):
+        f_ids, g_ids, h_ids, merge = triples(g, m, n, members, span)
+        n_mor = len(members) - n_obj
+        if fault == "part-outside":
+            g_ids[0] = None
+        elif fault == "left-identity-law":
+            i = next(i for i, (f, t) in enumerate(zip(f_ids, g_ids)) if f >= n_mor > t)
+            h_ids[i] = (g_ids[i] + 1) % n_mor
+        elif fault == "right-identity-law":
+            i = next(i for i, (f, t) in enumerate(zip(f_ids, g_ids)) if t >= n_mor > f)
+            h_ids[i] = (f_ids[i] + 1) % n_mor
+        else:
+            i = next(i for i, (f, t) in enumerate(zip(f_ids, g_ids)) if f < n_mor > t)
+            if fault == "not-composable":
+                # In each of the three, morphism g + 1 does not start where f ends.
+                g_ids[i] = (g_ids[i] + 1) % n_mor
+            else:
+                h_ids[i] = n_mor
+        return f_ids, g_ids, h_ids, merge
+
+    monkeypatch.setattr(divided, "_triples", faulty)
+    with pytest.raises(AssertionError, match=re.escape(TRIPLE_FAULTS[fault])):
+        build_category(g12, 2, 3)
+
+
+def test_build_category_finds_each_identity_in_d_2p_2q(monkeypatch, g12):
+    # (1, x_1, 1, x_2) is in D_4^6 for each object (x_1, x_2) of g12's
+    # C_2^3; a walk of D_4^6 that loses its tuples led by 1 is refused.
+    walk = divided._walk
+
+    def faulty(g, m, n):
+        out = walk(g, m, n)
+        return [t for t in out if t[0] != g.identity] if m == 4 else out
+
+    monkeypatch.setattr(divided, "_walk", faulty)
+    with pytest.raises(AssertionError, match=re.escape("identity missing from D_2p^2q")):
         build_category(g12, 2, 3)
 
 
